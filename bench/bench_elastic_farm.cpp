@@ -9,8 +9,9 @@
 //
 // Two side scenarios ride along. (1) Warm handoff: a session whose
 // bricks are resident on the source migrates mid-stream; with
-// HandoffConfig::migration_prepush the source cache is pre-pushed over
-// the fabric and the first post-move frame's first pixel must beat the
+// HandoffConfig::prepush the source cache is pre-pushed over the
+// fabric (no crash here, so the A/B exercises only the voluntary
+// trigger) and the first post-move frame's first pixel must beat the
 // cold re-read (the orbit is served out-of-core, so the cold target
 // pays the disk per brick). (2) Elasticity: a one-shard farm under a
 // burst backlog autoscales up to a second shard, the rebalancer fills
@@ -119,7 +120,7 @@ HandoffRun run_handoff(const volren::Volume& volume, bool prepush,
   config.shards = 2;
   config.gpus_per_shard = 2;
   config.service.keep_images = true;
-  config.handoff.migration_prepush = prepush;
+  config.handoff.prepush = prepush;
   service::ServiceFrontend frontend(config);
   obs::TraceRecorder* recorder =
       trace_pid_base >= 0 ? bench::trace_recorder() : nullptr;

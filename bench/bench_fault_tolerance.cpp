@@ -12,12 +12,13 @@
 // fraction would land inside it). drain() meets the dead
 // shard, fails it over: the session re-pins to shard 1, the crash
 // snapshot's undelivered frames re-issue there in order, and — with
-// failover_prepush on — the crashed cache's warm bricks are pre-pushed
+// HandoffConfig::prepush on — the crashed cache's warm bricks are pre-pushed
 // over the inter-shard fabric first (send_reliable: the plan's
 // FabricDrop on shard 1 forces one retransmit on the way). The orbit is
 // served out-of-core, so the A/B is real bytes: warm handoff renders
 // the re-issued frames against pushed bricks, the cold baseline
-// (failover_prepush off) re-reads every brick from disk at 5 ms seek.
+// (prepush off) re-reads every brick from disk at 5 ms seek. The run
+// has no voluntary moves, so the A/B exercises only the crash trigger.
 //
 // Acceptance (exit code gates Release CI): zero frames lost in both
 // failover modes, every delivered image bit-identical to the fault-free
@@ -72,7 +73,7 @@ FarmRun run_farm(const volren::Volume& volume, const fault::FaultPlan* plan,
   config.shards = 2;
   config.gpus_per_shard = 2;
   config.service.keep_images = true;
-  config.failover_prepush = prepush;
+  config.handoff.prepush = prepush;
   service::ServiceFrontend frontend(config);
   if (attach_trace) {
     if (obs::TraceRecorder* recorder = bench::trace_recorder()) {

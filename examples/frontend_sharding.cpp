@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   carol.submit_orbit(skull, options, 12, 0.0, 0.03);
   frontend.drain();
 
-  // Live migration: move carol to the placement policy's pick among
+  // Live migration: move carol to the placement rule's pick among
   // the *other* shards while her next orbit is queued. Her callbacks
   // stay installed, the queued frames re-issue on the target in order,
   // and the skull's warm bricks ride ahead over the fabric.

@@ -53,7 +53,12 @@ int main(int argc, char** argv) {
   // The streamer keeps a bounded window resident (here: 2 bricks), the
   // shape of the paper's out-of-core streaming — the full volume never
   // sits in memory twice.
-  io::BrickFileReader reader(vrbf);
+  auto opened = io::BrickFileReader::open(vrbf);
+  if (!opened) {
+    std::cerr << "cannot reload " << vrbf << ": " << opened.error().message << "\n";
+    return 1;
+  }
+  io::BrickFileReader& reader = *opened;
   std::vector<int> schedule(static_cast<size_t>(reader.num_bricks()));
   std::iota(schedule.begin(), schedule.end(), 0);
   io::BrickStreamer streamer(reader, schedule, /*window=*/2);
@@ -61,7 +66,12 @@ int main(int argc, char** argv) {
   while (!streamer.done()) {
     const int i = streamer.next_brick();
     const io::BrickRecord& rec = reader.record(i);
-    const std::vector<float> payload = streamer.consume();
+    const auto consumed = streamer.try_consume();
+    if (!consumed) {
+      std::cerr << "brick " << i << ": " << consumed.error().message << "\n";
+      return 1;
+    }
+    const std::vector<float>& payload = *consumed;
     const volren::BrickInfo& info = layout.brick(layout.brick_id(rec.grid_pos));
     // Scatter the padded payload's core region into the dense array.
     size_t src = 0;

@@ -37,14 +37,13 @@ struct ClusterConfig {
   /// node (§4.1), e.g. 8 GPUs = 2 nodes. Nodes are uniform, so the
   /// per-node count is the largest divisor of `gpus` that fits.
   static ClusterConfig with_total_gpus(int gpus,
-                                       HardwareModel hw = HardwareModel::ncsa_accelerator_cluster(),
-                                       int max_gpus_per_node = 4) {
+                                       HardwareModel hw = HardwareModel::ncsa_accelerator_cluster()) {
     VRMR_CHECK(gpus >= 1);
-    VRMR_CHECK(max_gpus_per_node >= 1);
+    constexpr int kMaxGpusPerNode = 4;
     ClusterConfig cfg;
     cfg.hw = std::move(hw);
     cfg.gpus_per_node = 1;
-    for (int per_node = std::min(gpus, max_gpus_per_node); per_node >= 1; --per_node) {
+    for (int per_node = std::min(gpus, kMaxGpusPerNode); per_node >= 1; --per_node) {
       if (gpus % per_node == 0) {
         cfg.gpus_per_node = per_node;
         break;

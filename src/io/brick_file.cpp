@@ -152,11 +152,6 @@ void BrickFileWriter::finalize() {
   finalized_ = true;
 }
 
-BrickFileReader::BrickFileReader(const std::filesystem::path& path) {
-  const std::optional<IoError> err = init(path);
-  VRMR_CHECK_MSG(!err.has_value(), err->message);
-}
-
 Expected<BrickFileReader, IoError> BrickFileReader::open(
     const std::filesystem::path& path) {
   BrickFileReader reader;
@@ -213,13 +208,6 @@ const BrickRecord& BrickFileReader::record(int index) const {
   VRMR_CHECK_MSG(index >= 0 && index < num_bricks(), "brick index " << index
                                                                     << " out of range");
   return header_.bricks[static_cast<size_t>(index)];
-}
-
-std::vector<float> BrickFileReader::read_brick(int index) {
-  (void)record(index);  // preserves the out-of-range CheckError contract
-  Expected<std::vector<float>, IoError> result = try_read_brick(index);
-  VRMR_CHECK_MSG(result.has_value(), result.error().message);
-  return std::move(result.value());
 }
 
 Expected<std::vector<float>, IoError> BrickFileReader::try_read_brick(int index) {

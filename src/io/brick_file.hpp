@@ -13,7 +13,7 @@
 // Version 2 adds per-brick compression: the directory records a codec
 // id and the logical (decompressed) payload size, and RLE-coded bricks
 // store the real encoded stream — fewer disk bytes, bit-exact
-// round-trip through read_brick(). The zfp-style codec is size-MODELED
+// round-trip through try_read_brick(). The zfp-style codec is size-MODELED
 // in the simulation only (a lossless file cannot actually shrink to the
 // modeled rate), so the writer accepts None or Rle. The reader accepts
 // v1 and v2 files; v1 records load as uncompressed.
@@ -114,11 +114,8 @@ class BrickFileWriter {
 /// Random-access reader over a VRBF file (v1 or v2).
 class BrickFileReader {
  public:
-  /// Throwing constructor (back-compat): CHECK-fails on a missing or
-  /// malformed file. Prefer open() where a bad file must be survivable.
-  explicit BrickFileReader(const std::filesystem::path& path);
-
-  /// Recoverable open: returns the parse failure instead of throwing.
+  /// Opens and parses the header + directory; a missing or malformed
+  /// file comes back as an IoError.
   static Expected<BrickFileReader, IoError> open(const std::filesystem::path& path);
 
   BrickFileReader(BrickFileReader&&) = default;
@@ -129,11 +126,8 @@ class BrickFileReader {
 
   /// Reads brick `index`'s voxel payload, decoding compressed bricks —
   /// always returns the logical voxels, bit-exact with what was
-  /// appended. record(index).bytes is what the read itself moved.
-  /// Throws CheckError on a short or corrupt read (back-compat).
-  std::vector<float> read_brick(int index);
-
-  /// Recoverable read: a truncated or corrupt payload comes back as an
+  /// appended. record(index).bytes is what the read itself moved. A
+  /// bad index or a truncated or corrupt payload comes back as an
   /// IoError and the reader stays usable — other bricks still read.
   Expected<std::vector<float>, IoError> try_read_brick(int index);
 

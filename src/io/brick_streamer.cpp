@@ -44,12 +44,6 @@ void BrickStreamer::fill_window() {
   }
 }
 
-std::vector<float> BrickStreamer::consume() {
-  Expected<std::vector<float>, IoError> result = try_consume();
-  VRMR_CHECK_MSG(result.has_value(), result.error().message);
-  return std::move(result.value());
-}
-
 Expected<std::vector<float>, IoError> BrickStreamer::try_consume() {
   VRMR_CHECK_MSG(!done(), "stream exhausted");
   const int brick = schedule_[cursor_];

@@ -43,12 +43,8 @@ class BrickStreamer {
 
   /// Take ownership of the next brick's voxels (loads + prefetches as
   /// needed). The brick leaves the resident window; a later repeat in
-  /// the schedule re-reads it. Throws CheckError if the brick is
-  /// truncated or corrupt (back-compat).
-  std::vector<float> consume();
-
-  /// Recoverable consume: a truncated/corrupt brick comes back as an
-  /// IoError, the bad brick is retired from the schedule, and the
+  /// the schedule re-reads it. A truncated/corrupt brick comes back as
+  /// an IoError, the bad brick is retired from the schedule, and the
   /// stream continues past it — one bad brick never kills the stream.
   Expected<std::vector<float>, IoError> try_consume();
 

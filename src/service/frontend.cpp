@@ -19,49 +19,11 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-int default_placement(const PlacementQuery& query) {
-  // Pin first: the frontend only forwards a pin that names a live,
-  // accepting shard, so honoring it unconditionally is safe.
-  if (query.pinned.has_value()) return *query.pinned;
-  // Brick affinity: restrict to candidates where the volume is warm,
-  // when any. Then least outstanding predicted cost; ties break on the
-  // lowest shard index (determinism).
-  bool any_warm = false;
-  for (const PlacementSignal& signal : query.shards)
-    any_warm = any_warm || (signal.alive && signal.accepting && signal.warm);
-  int best = -1;
-  double best_cost = kInf;
-  for (const PlacementSignal& signal : query.shards) {
-    if (!signal.alive || !signal.accepting) continue;
-    if (any_warm && !signal.warm) continue;
-    if (signal.outstanding_cost_s < best_cost) {
-      best = signal.shard;
-      best_cost = signal.outstanding_cost_s;
-    }
-  }
-  return best;
-}
-
 ServiceFrontend::ServiceFrontend(FrontendConfig config)
     : config_(std::move(config)) {
-  // Fold the deprecated aliases into their sub-configs (kept one
-  // release): when set, the alias wins over the sub-config field.
-  if (config_.enable_peer_hydration.has_value())
-    config_.handoff.peer_hydration = *config_.enable_peer_hydration;
-  if (config_.hydration_fabric.has_value())
-    config_.handoff.fabric = *config_.hydration_fabric;
-  if (config_.failover_prepush.has_value())
-    config_.handoff.failover_prepush = *config_.failover_prepush;
   VRMR_CHECK_MSG(config_.shards >= 1, "frontend needs at least one shard");
   VRMR_CHECK_MSG(config_.gpus_per_shard >= 1,
                  "frontend shards need at least one GPU");
-  VRMR_CHECK_MSG(config_.cache_policy_per_shard.empty() ||
-                     static_cast<int>(config_.cache_policy_per_shard.size()) ==
-                         config_.shards,
-                 "cache_policy_per_shard must be empty or name one policy "
-                 "per shard ("
-                     << config_.shards << "), got "
-                     << config_.cache_policy_per_shard.size());
   VRMR_CHECK_MSG(config_.autoscale.min_shards >= 1,
                  "autoscale.min_shards must be >= 1, got "
                      << config_.autoscale.min_shards);
@@ -83,15 +45,10 @@ ServiceFrontend::Shard ServiceFrontend::make_shard(int index) {
   shard.engine = std::make_unique<sim::Engine>();
   shard.cluster = std::make_unique<cluster::Cluster>(
       *shard.engine,
-      cluster::ClusterConfig::with_total_gpus(
-          config_.gpus_per_shard, config_.hw, config_.max_gpus_per_node));
-  ServiceConfig service_config = config_.service;
-  if (index < static_cast<int>(config_.cache_policy_per_shard.size())) {
-    service_config.cache_policy =
-        config_.cache_policy_per_shard[static_cast<std::size_t>(index)];
-  }
+      cluster::ClusterConfig::with_total_gpus(config_.gpus_per_shard,
+                                              config_.hw));
   shard.service =
-      std::make_unique<RenderService>(*shard.cluster, service_config);
+      std::make_unique<RenderService>(*shard.cluster, config_.service);
   if (max_farm_shards_ > 1) {
     // One fabric per shard, on that shard's engine, with one "node" per
     // farm SLOT (max_farm_shards_, so shards added later join the same
@@ -141,8 +98,7 @@ int ServiceFrontend::shard_of(const Session& session) const {
 bool ServiceFrontend::shard_accepting(int index) const {
   VRMR_CHECK_MSG(index >= 0 && index < num_shards(),
                  "shard " << index << " out of range");
-  const Shard& shard = shards_[static_cast<std::size_t>(index)];
-  return shard.accepting && !shard.retired && !shard.service->crashed();
+  return shards_[static_cast<std::size_t>(index)].takes_work();
 }
 
 bool ServiceFrontend::shard_retired(int index) const {
@@ -176,66 +132,54 @@ void ServiceFrontend::pin_shard(const Session& session, int shard) {
   state.profile.pin_shard = shard;  // repeated pins just overwrite
 }
 
-int ServiceFrontend::resolve_placement(const SessionProfile& profile,
-                                       const volren::Volume* volume,
-                                       int exclude_shard) const {
-  PlacementQuery query;
-  query.profile = &profile;
-  query.volume = volume;
-  query.current_shard = exclude_shard;
-  query.shards.reserve(shards_.size());
-  for (int s = 0; s < num_shards(); ++s) {
-    const Shard& shard = shards_[static_cast<std::size_t>(s)];
-    PlacementSignal signal;
-    signal.shard = s;
-    signal.alive = !shard.service->crashed();
-    signal.accepting = shard.accepting && !shard.retired && s != exclude_shard;
-    // The warm probe scans the shard's cache, so run it once per shard.
-    signal.warm = signal.alive && !shard.retired && volume != nullptr &&
-                  shard.service->volume_warm(volume);
-    signal.outstanding_cost_s = shard.service->outstanding_cost_s();
-    query.shards.push_back(signal);
+int ServiceFrontend::pick_shard(const SessionProfile* profile,
+                                const volren::Volume* volume,
+                                int exclude_shard) const {
+  const auto candidate = [this, exclude_shard](int s) {
+    return s != exclude_shard && shards_[static_cast<std::size_t>(s)].takes_work();
+  };
+  // Pin first. A pin naming a dead or non-accepting shard cannot be
+  // honored; placement falls through to the survivors rather than
+  // queueing frames a shard will never serve.
+  if (profile != nullptr && profile->pin_shard.has_value()) {
+    const int pin = *profile->pin_shard;
+    if (pin >= 0 && pin < num_shards() && candidate(pin)) return pin;
   }
-  // A pin naming a dead or non-accepting shard cannot be honored; the
-  // policy re-places over the survivors rather than queueing frames a
-  // shard will never serve.
-  if (profile.pin_shard.has_value()) {
-    const int pin = *profile.pin_shard;
-    if (pin >= 0 && pin < num_shards()) {
-      const PlacementSignal& signal =
-          query.shards[static_cast<std::size_t>(pin)];
-      if (signal.alive && signal.accepting) query.pinned = pin;
-    }
+  // Brick affinity: restrict to candidates where the volume is warm,
+  // when any. Then least outstanding predicted cost; ties break on the
+  // lowest shard index (determinism). The warm probe scans the shard's
+  // cache, so run it once per candidate.
+  std::vector<bool> warm(shards_.size(), false);
+  bool any_warm = false;
+  for (int s = 0; volume != nullptr && s < num_shards(); ++s) {
+    if (!candidate(s)) continue;
+    warm[static_cast<std::size_t>(s)] =
+        shards_[static_cast<std::size_t>(s)].service->volume_warm(volume);
+    any_warm = any_warm || warm[static_cast<std::size_t>(s)];
   }
-  const int chosen = config_.placement ? config_.placement(query)
-                                       : default_placement(query);
-  VRMR_CHECK_MSG(chosen >= 0 && chosen < num_shards(),
-                 "no accepting shard to place on (placement policy returned "
-                     << chosen << " for session '" << profile.name << "')");
-  const PlacementSignal& signal =
-      query.shards[static_cast<std::size_t>(chosen)];
-  VRMR_CHECK_MSG(signal.alive && signal.accepting,
-                 "placement policy chose shard "
-                     << chosen << " for session '" << profile.name
-                     << "', which is not accepting");
-  return chosen;
-}
-
-int ServiceFrontend::least_loaded_target(int exclude_shard) const {
   int best = -1;
   double best_cost = kInf;
   for (int s = 0; s < num_shards(); ++s) {
-    if (s == exclude_shard) continue;
-    const Shard& shard = shards_[static_cast<std::size_t>(s)];
-    if (shard.service->crashed() || shard.retired || !shard.accepting) continue;
-    const double cost = shard.service->outstanding_cost_s();
+    if (!candidate(s) || (any_warm && !warm[static_cast<std::size_t>(s)]))
+      continue;
+    const double cost =
+        shards_[static_cast<std::size_t>(s)].service->outstanding_cost_s();
     if (cost < best_cost) {
       best = s;
       best_cost = cost;
     }
   }
-  VRMR_CHECK_MSG(best >= 0, "no surviving shard to fail over to");
+  VRMR_CHECK_MSG(best >= 0, "no accepting shard to place on: every other "
+                            "shard crashed, is draining or is retired");
   return best;
+}
+
+bool ServiceFrontend::any_other_takes_work(int exclude_shard) const {
+  for (int s = 0; s < num_shards(); ++s) {
+    if (s != exclude_shard && shards_[static_cast<std::size_t>(s)].takes_work())
+      return true;
+  }
+  return false;
 }
 
 bool ServiceFrontend::hydrate(int shard_index, int gpu,
@@ -264,9 +208,6 @@ bool ServiceFrontend::hydrate(int shard_index, int gpu,
     for (int g = 0; g < config_.gpus_per_shard && !warm; ++g)
       warm = cache->resident(g, sibling_key);
     if (!warm) continue;
-    shard.bytes_hydrated_from_peers += stored_bytes;
-    shard.bytes_disk_avoided += stored_bytes;
-    ++shard.bricks_hydrated;
     obs::TraceRecorder* trace = trace_;
     std::uint64_t arrow = 0;
     if (trace != nullptr) {
@@ -313,7 +254,7 @@ std::uint64_t ServiceFrontend::session_submit(int session, RenderRequest request
     // stays free to place elsewhere on retry after invalidate_volume.
     for (const Shard& shard : shards_)
       if (!shard.retired) shard.service->check_volume_compatible(request.volume);
-    state.shard = resolve_placement(state.profile, request.volume, -1);
+    state.shard = pick_shard(&state.profile, request.volume, -1);
     Shard& shard = shards_[static_cast<std::size_t>(state.shard)];
     state.inner = shard.service->open_session(state.profile);
     ++shard.sessions_placed;
@@ -479,8 +420,6 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
   const char* repin_name = crash ? "failover.repin" : "migrate.repin";
   const char* push_name = crash ? "failover.push" : "migrate.push";
   const char* category = crash ? "failover" : "migrate";
-  const bool prepush_enabled = crash ? config_.handoff.failover_prepush
-                                     : config_.handoff.migration_prepush;
   VRMR_CHECK_MSG(plan.from_shard >= 0 && plan.from_shard < num_shards(),
                  "migration plan from_shard " << plan.from_shard
                                               << " out of range");
@@ -543,7 +482,7 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
     double session_ready_s = crash
                                  ? dest.engine->now()
                                  : std::max(dest.engine->now(), plan.decision_s);
-    if (prepush_enabled && dest.fabric != nullptr &&
+    if (config_.handoff.prepush && dest.fabric != nullptr &&
         source.service->cache() != nullptr) {
       std::set<std::pair<const volren::Volume*, std::uint64_t>> pushed;
       for (const RenderService::UnservedFrame& frame : plan.frames) {
@@ -632,18 +571,18 @@ void ServiceFrontend::failover(int crashed_shard) {
   VRMR_WARN("frontend") << "shard " << crashed_shard << " crashed with "
                         << plan.frames.size()
                         << " unserved frame(s); failing over";
-  // Each orphan picks its target independently — least outstanding
-  // cost among the survivors, ties to the lowest index — so a big
-  // crash spreads over the farm instead of dogpiling one sibling.
-  // (Nothing below changes outstanding cost until the frames re-issue
-  // in pass 2, so picking all targets up front is equivalent to
-  // interleaving.)
+  // Each orphan picks its target independently through pick_shard with
+  // no pin and no volume — least outstanding cost among the survivors,
+  // ties to the lowest index — so a big crash spreads over the farm
+  // instead of dogpiling one sibling. (Nothing below changes
+  // outstanding cost until the frames re-issue in pass 2, so picking
+  // all targets up front is equivalent to interleaving.)
   for (int session = 0; session < num_sessions(); ++session) {
     const FrontendSession& state =
         *sessions_[static_cast<std::size_t>(session)];
     if (state.shard != crashed_shard) continue;
-    plan.moves.push_back(
-        {session, least_loaded_target(crashed_shard), state.inner.index_});
+    plan.moves.push_back({session, pick_shard(nullptr, nullptr, crashed_shard),
+                          state.inner.index_});
   }
   execute_migration(plan);
 }
@@ -663,18 +602,12 @@ MigrationPlan ServiceFrontend::plan_voluntary(int session, int target_shard,
     VRMR_CHECK_MSG(target_shard != source,
                    "migrate target equals the session's current shard "
                        << source);
-    const Shard& dest = shards_[static_cast<std::size_t>(target_shard)];
-    VRMR_CHECK_MSG(!dest.service->crashed() && dest.accepting && !dest.retired,
+    VRMR_CHECK_MSG(shards_[static_cast<std::size_t>(target_shard)].takes_work(),
                    "migrate target " << target_shard << " is not accepting");
   } else {
-    bool any = false;
-    for (int s = 0; s < num_shards() && !any; ++s) {
-      const Shard& dest = shards_[static_cast<std::size_t>(s)];
-      any = s != source && !dest.service->crashed() && dest.accepting &&
-            !dest.retired;
-    }
-    VRMR_CHECK_MSG(any, "no other accepting shard to migrate session '"
-                            << state.profile.name << "' onto");
+    VRMR_CHECK_MSG(any_other_takes_work(source),
+                   "no other accepting shard to migrate session '"
+                       << state.profile.name << "' onto");
   }
   MigrationPlan plan;
   plan.trigger = MigrationPlan::Trigger::Voluntary;
@@ -686,7 +619,7 @@ MigrationPlan ServiceFrontend::plan_voluntary(int session, int target_shard,
   if (target_shard < 0) {
     const volren::Volume* volume =
         plan.frames.empty() ? nullptr : plan.frames.front().request.volume;
-    target_shard = resolve_placement(state.profile, volume, source);
+    target_shard = pick_shard(&state.profile, volume, source);
   }
   plan.moves.push_back({session, target_shard, state.inner.index_});
   return plan;
@@ -756,22 +689,17 @@ void ServiceFrontend::drain_shard(int index) {
                  "drain_shard(" << index
                                 << ") on a crashed shard; failover() handles "
                                    "crashes");
-  bool any_other = false;
-  for (int s = 0; s < num_shards() && !any_other; ++s) {
-    const Shard& sibling = shards_[static_cast<std::size_t>(s)];
-    any_other = s != index && !sibling.service->crashed() &&
-                sibling.accepting && !sibling.retired;
-  }
-  VRMR_CHECK_MSG(any_other, "drain_shard(" << index
-                                           << "): no other accepting shard to "
-                                              "migrate its sessions onto");
+  VRMR_CHECK_MSG(any_other_takes_work(index),
+                 "drain_shard(" << index
+                                << "): no other accepting shard to migrate its "
+                                   "sessions onto");
   const double decision_s = farm_now();
   shard.accepting = false;  // placement and migration stop targeting it
   int migrated = 0;
   for (int session = 0; session < num_sessions(); ++session) {
     if (sessions_[static_cast<std::size_t>(session)]->shard != index) continue;
-    // One plan per session: each consults the placement policy against
-    // post-previous-move signals, so a big drain spreads over the farm.
+    // One plan per session: each picks its target against the farm as
+    // the previous moves left it, so a big drain spreads over the farm.
     execute_migration(plan_voluntary(session, -1, decision_s));
     ++migrated;
   }
@@ -803,8 +731,7 @@ int ServiceFrontend::rebalance_pass(double now_s) {
     double hot_cost = -1.0, cold_cost = kInf;
     for (int s = 0; s < num_shards(); ++s) {
       const Shard& shard = shards_[static_cast<std::size_t>(s)];
-      if (shard.retired || !shard.accepting || shard.service->crashed())
-        continue;
+      if (!shard.takes_work()) continue;
       const double cost = shard.service->outstanding_cost_s();
       if (cost > hot_cost) {
         hot = s;
@@ -817,22 +744,10 @@ int ServiceFrontend::rebalance_pass(double now_s) {
     }
     if (hot < 0 || cold < 0 || hot == cold) break;
     const double gap = hot_cost - cold_cost;
-    // Both skew gates must hold: relative ratio (scale-free) and the
-    // absolute floor (a 2:1 skew over microseconds is not worth a
-    // handoff); a uniformly loaded or uniformly idle farm never churns.
-    if (hot_cost <= 0.0 || gap < rb.min_imbalance_s) break;
+    // Relative skew gate (scale-free): a uniformly loaded or uniformly
+    // idle farm never churns.
+    if (hot_cost <= 0.0) break;
     if (hot_cost <= rb.skew_ratio * std::max(cold_cost, 1e-12)) break;
-    if (rb.sustained_utilization > 0.0) {
-      const double span = rb.sustain_s > 0.0      ? rb.sustain_s
-                          : rb.period_s > 0.0     ? rb.period_s
-                                                  : config_.service.stats_window_s;
-      if (span > 0.0) {
-        const double busy = trailing_busy_s(hot, now_s, span);
-        const double util =
-            busy / (span * static_cast<double>(config_.gpus_per_shard));
-        if (util < rb.sustained_utilization) break;  // a blip, not a trend
-      }
-    }
     // Candidate: the hot shard's session whose move best balances the
     // pair — minimize |gap - 2*cost| — skipping sessions inside the
     // hysteresis window and ones whose move would only swap the skew
@@ -855,8 +770,8 @@ int ServiceFrontend::rebalance_pass(double now_s) {
       }
     }
     if (best_session < 0) break;
-    // Target through the placement policy (warm affinity may beat the
-    // literal coldest shard) — the hot source is excluded in the query.
+    // Target through pick_shard (warm affinity may beat the literal
+    // coldest shard), with the hot source excluded.
     execute_migration(plan_voluntary(best_session, -1, now_s));
     ++rebalance_migrations_;
     ++moved;
@@ -864,15 +779,13 @@ int ServiceFrontend::rebalance_pass(double now_s) {
   return moved;
 }
 
-void ServiceFrontend::autoscale_pass(double now_s) {
+void ServiceFrontend::autoscale_pass() {
   const AutoscaleConfig& as = config_.autoscale;
   if (!as.enabled) return;
-  if (now_s - last_scale_s_ < as.cooldown_s) return;
   int active = 0;
   double backlog = 0.0;
-  for (int s = 0; s < num_shards(); ++s) {
-    const Shard& shard = shards_[static_cast<std::size_t>(s)];
-    if (shard.retired || !shard.accepting || shard.service->crashed()) continue;
+  for (const Shard& shard : shards_) {
+    if (!shard.takes_work()) continue;
     ++active;
     backlog += shard.service->outstanding_cost_s();
   }
@@ -880,7 +793,6 @@ void ServiceFrontend::autoscale_pass(double now_s) {
   const double per_shard = backlog / static_cast<double>(active);
   if (per_shard > as.scale_up_backlog_s && num_shards() < max_farm_shards_) {
     add_shard();
-    last_scale_s_ = now_s;
     return;
   }
   if (per_shard <= as.scale_down_backlog_s &&
@@ -891,18 +803,14 @@ void ServiceFrontend::autoscale_pass(double now_s) {
     double victim_cost = kInf;
     for (int s = 0; s < num_shards(); ++s) {
       const Shard& shard = shards_[static_cast<std::size_t>(s)];
-      if (shard.retired || !shard.accepting || shard.service->crashed())
-        continue;
+      if (!shard.takes_work()) continue;
       const double cost = shard.service->outstanding_cost_s();
       if (cost <= victim_cost) {
         victim = s;
         victim_cost = cost;
       }
     }
-    if (victim >= 0) {
-      drain_shard(victim);
-      last_scale_s_ = now_s;
-    }
+    if (victim >= 0) drain_shard(victim);
   }
 }
 
@@ -913,84 +821,9 @@ double ServiceFrontend::farm_now() const {
   return now;
 }
 
-double ServiceFrontend::trailing_busy_s(int index, double now_s,
-                                        double span_s) const {
-  const double width = config_.service.stats_window_s;
-  if (width <= 0.0 || span_s <= 0.0) return 0.0;
-  const Shard& shard = shards_[static_cast<std::size_t>(index)];
-  const double lo = now_s - span_s;
-  double busy = 0.0;
-  for (const auto& [bin, window] : shard.service->window_bins()) {
-    const double bin_lo = static_cast<double>(bin) * width;
-    const double overlap =
-        std::min(bin_lo + width, now_s) - std::max(bin_lo, lo);
-    if (overlap <= 0.0) continue;
-    busy += window.gpu_busy_s * (overlap / width);  // pro-rate partial bins
-  }
-  return busy;
-}
-
-int ServiceFrontend::accepting_shards() const {
-  int count = 0;
-  for (const Shard& shard : shards_) {
-    if (!shard.retired && shard.accepting && !shard.service->crashed())
-      ++count;
-  }
-  return count;
-}
-
 void ServiceFrontend::drain() {
   const bool control = config_.rebalance.enabled || config_.autoscale.enabled;
-  const double period = config_.rebalance.period_s;
-
-  // One full sweep: a callback running on one shard may submit frames
-  // that place onto an already-drained shard (brick affinity), so loop
-  // until every live shard's queue is empty. A shard that crashed
-  // mid-drain fails over on the next sweep: its sessions re-pin and
-  // its unserved frames re-issue onto survivors, which the loop then
-  // drains.
-  const auto sweep = [this] {
-    bool again = true;
-    while (again) {
-      again = false;
-      for (int s = 0; s < num_shards(); ++s) {
-        Shard& shard = shards_[static_cast<std::size_t>(s)];
-        if (shard.retired) continue;
-        if (shard.service->crashed()) {
-          if (!shard.failed_over) {
-            failover(s);
-            again = true;
-          }
-          continue;
-        }
-        if (shard.service->queued_frames() == 0) continue;
-        shard.service->drain();
-        again = true;
-      }
-    }
-  };
-  const auto total_queued = [this] {
-    int queued = 0;
-    for (const Shard& shard : shards_) {
-      if (shard.retired || shard.service->crashed()) continue;
-      queued += shard.service->queued_frames();
-    }
-    return queued;
-  };
-
-  if (!control || period <= 0.0) {
-    // Classic full sweeps. With a control plane but no period, the
-    // passes run between sweeps (useful for end-of-run scale-down; a
-    // fully drained farm leaves the rebalancer nothing to move).
-    while (true) {
-      sweep();
-      if (!control) return;
-      const double now = farm_now();
-      autoscale_pass(now);  // capacity first; the rebalancer fills it
-      const int moves = rebalance_pass(now);
-      if (moves == 0 && total_queued() == 0) return;
-    }
-  }
+  const double period = control ? config_.rebalance.period_s : 0.0;
 
   // Horizon rounds: advance every live shard to a shared farm-time
   // horizon (RenderService::drain_until stops admitting at the horizon
@@ -999,8 +832,16 @@ void ServiceFrontend::drain() {
   // boundary, then move the horizon forward. The next horizon is
   // floored at the farm clock (completions may legitimately end past
   // the horizon) and jumped over arrival gaps (an idle farm does not
-  // spin rounds waiting for a far-future submit).
-  double horizon = farm_now() + period;
+  // spin rounds waiting for a far-future submit). Without a control
+  // plane or a period the horizon is +inf: a round serves everything
+  // queued, and the passes run at the farm clock once it has.
+  //
+  // Within a round, loop until no shard makes progress: a callback
+  // running on one shard may submit frames that place onto an
+  // already-served shard (brick affinity). A shard that crashed
+  // mid-round fails over on the next sweep: its sessions re-pin and its
+  // unserved frames re-issue onto survivors, which the loop then serves.
+  double horizon = period > 0.0 ? farm_now() + period : kInf;
   while (true) {
     bool served = true;
     while (served) {
@@ -1024,8 +865,9 @@ void ServiceFrontend::drain() {
           served = true;
       }
     }
-    autoscale_pass(horizon);  // capacity first; the rebalancer fills it
-    const int moves = rebalance_pass(horizon);
+    const double pass_s = std::isinf(horizon) ? farm_now() : horizon;
+    autoscale_pass();  // capacity first; the rebalancer fills it
+    const int moves = rebalance_pass(pass_s);
     int queued = 0;
     double min_arrival = kInf;
     for (const Shard& shard : shards_) {
@@ -1071,16 +913,11 @@ FrontendStats ServiceFrontend::stats() const {
     detail.retired = shard.retired;
     detail.active_from_s = shard.active_from_s;
     detail.active_to_s = shard.active_to_s;
-    detail.bytes_hydrated_from_peers = shard.bytes_hydrated_from_peers;
-    detail.bytes_disk_avoided = shard.bytes_disk_avoided;
-    detail.bricks_hydrated = shard.bricks_hydrated;
     detail.service = shard.service->stats();
     out.frames_total += detail.service.frames_total;
     out.makespan_s = std::max(out.makespan_s, detail.service.makespan_s);
     out.bytes_h2d_saved += detail.service.bytes_h2d_saved;
-    out.bytes_hydrated_from_peers += detail.bytes_hydrated_from_peers;
-    out.bytes_disk_avoided += detail.bytes_disk_avoided;
-    out.bricks_hydrated += detail.bricks_hydrated;
+    out.bytes_hydrated_from_peers += detail.service.bytes_hydrated;
     hits += detail.service.cache.hits;
     misses += detail.service.cache.misses;
     out.shards.push_back(std::move(detail));

@@ -9,7 +9,7 @@
 // a sharded deployment from a single backend.
 //
 // Placement happens lazily on the session's FIRST submit (only then is
-// the volume known), through a pluggable PlacementPolicy. The default:
+// the volume known), by one rule:
 //
 //   1. pin — a SessionProfile::pin_shard naming a live, accepting
 //      shard is honored;
@@ -20,11 +20,14 @@
 //      (RenderService::outstanding_cost_s) wins; ties go to the lowest
 //      shard index.
 //
-// A session's placement is no longer forever: the frontend's CONTROL
-// PLANE moves placed sessions at frame boundaries through one shared
-// migration primitive (MigrationPlan → execute_migration) with three
-// triggers — failover() (crash), migrate_session() / the steady-state
-// rebalancer (voluntary), and drain_shard() (elastic scale-down).
+// The same rule picks every migration target (a crash target has no
+// volume to be warm for and never honors a pin, so failover reduces to
+// the least-loaded survivor). A session's placement is no longer
+// forever: the frontend's CONTROL PLANE moves placed sessions at frame
+// boundaries through one shared migration primitive (MigrationPlan →
+// execute_migration) with three triggers — failover() (crash),
+// migrate_session() / the steady-state rebalancer (voluntary), and
+// drain_shard() (elastic scale-down).
 // Every trigger re-opens the session on the target, re-installs the
 // RETAINED client callbacks, pre-pushes the source cache's warm bricks
 // over the inter-shard fabric (HandoffConfig), and re-issues the moved
@@ -34,10 +37,11 @@
 // Shards simulate independent timelines: drain() drains them back to
 // back on the host, but the simulated farm runs them in parallel, so
 // aggregate makespan is the max over shards and aggregate fps is
-// frames / that max. When the rebalancer or autoscaler is enabled,
-// drain() proceeds in HORIZON ROUNDS — every shard drains to a shared
-// farm-time horizon (RenderService::drain_until), then the control
-// passes run at that frame boundary. Placement, migration and
+// frames / that max. drain() proceeds in HORIZON ROUNDS — every shard
+// drains to a shared farm-time horizon (RenderService::drain_until),
+// then the control passes run at that frame boundary. Without a
+// control plane (or with RebalanceConfig::period_s <= 0) the horizon is
+// +inf: one round drains everything. Placement, migration and
 // per-shard scheduling are all deterministic, so identical workloads
 // replay byte-identical schedules.
 
@@ -45,7 +49,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,18 +76,16 @@ struct HandoffConfig {
   /// Interconnect model for every shard-to-shard transfer (each shard
   /// is one "node" on a per-shard fabric instance).
   net::FabricModel fabric;
-  /// Warm handoff on CRASH failover: pre-push the dead shard's
-  /// resident bricks for the orphaned volumes to the failover target
+  /// Warm handoff on every migration trigger: pre-push the source
+  /// shard's resident bricks for the moved volumes to the target
   /// (send_reliable, so injected drops retransmit) and floor the
   /// re-issued frames' arrivals past the handoff window — they render
-  /// warm instead of re-reading disk. Off: failover re-issues cold
-  /// (the A/B baseline bench_fault_tolerance gates against).
-  bool failover_prepush = true;
-  /// Warm handoff on VOLUNTARY moves (migrate_session, the rebalancer,
-  /// drain_shard): same pre-push, sourced from the still-live origin
-  /// shard's cache. Off: migrated frames re-read disk on the target
-  /// (the A/B baseline bench_elastic_farm gates against).
-  bool migration_prepush = true;
+  /// warm instead of re-reading disk. The source is the dead shard's
+  /// cache on a crash failover and the still-live origin's on a
+  /// voluntary move (migrate_session, the rebalancer, drain_shard).
+  /// Off: moved frames re-read disk on the target (the A/B baseline
+  /// bench_fault_tolerance and bench_elastic_farm gate against).
+  bool prepush = true;
 };
 
 /// Steady-state rebalancer: a periodic control pass (inside drain())
@@ -96,24 +97,15 @@ struct RebalanceConfig {
   bool enabled = false;
   /// Farm-time cadence of the control passes: drain() advances every
   /// shard to a shared horizon (RenderService::drain_until), runs the
-  /// passes at that frame boundary, and repeats. 0 runs the passes
-  /// only between full drain sweeps — fine for the autoscaler's
-  /// scale-down, useless for rebalancing a backlog (the sweep already
-  /// drained it); set a period comparable to service.stats_window_s
+  /// passes at that frame boundary, and repeats. <= 0 runs the passes
+  /// only once the farm is drained — fine for the autoscaler's
+  /// scale-down, useless for rebalancing a backlog (the drain already
+  /// served it); set a period comparable to service.stats_window_s
   /// for steady-state behaviour.
   double period_s = 0.0;
-  /// Trigger: hottest outstanding cost > skew_ratio x coldest (and the
-  /// absolute gap >= min_imbalance_s). Both must hold, so a uniformly
-  /// loaded or uniformly idle farm never churns.
+  /// Trigger: hottest outstanding cost > skew_ratio x coldest, so a
+  /// uniformly loaded or uniformly idle farm never churns.
   double skew_ratio = 2.0;
-  double min_imbalance_s = 0.0;
-  /// Sustained-skew guard over FrontendStats::windows: when > 0, the
-  /// hot shard must also show at least this trailing-window GPU
-  /// utilization (busy / (sustain_s x gpus)) — a cold-start blip with
-  /// no serving history does not count as sustained. 0 disables.
-  double sustained_utilization = 0.0;
-  /// Trailing span for the sustained check; 0 means one period_s.
-  double sustain_s = 0.0;
   /// Hysteresis against ping-ponging: a session migrated at farm time
   /// t is not migrated again before t + hysteresis_s.
   double hysteresis_s = 0.0;
@@ -138,42 +130,7 @@ struct AutoscaleConfig {
   /// Scale down (drain the least-loaded shard) when mean backlog per
   /// accepting shard falls to/below this.
   double scale_down_backlog_s = 0.01;
-  /// Minimum farm time between scale operations.
-  double cooldown_s = 0.0;
 };
-
-/// Per-shard signals assembled by the frontend for a placement
-/// decision (first placement or a voluntary migration's target pick).
-struct PlacementSignal {
-  int shard = -1;
-  bool alive = true;       ///< not crashed
-  bool accepting = true;   ///< not draining / retired
-  bool warm = false;       ///< the session's volume has resident bricks
-  double outstanding_cost_s = 0.0;
-};
-
-struct PlacementQuery {
-  const SessionProfile* profile = nullptr;
-  /// The volume of the placing submit (or of a migrating session's
-  /// first moved frame); null when no volume is known.
-  const volren::Volume* volume = nullptr;
-  /// SessionProfile::pin_shard passthrough (unset when the pin names a
-  /// shard that is dead or not accepting — the policy must re-place).
-  std::optional<int> pinned;
-  /// The shard the session currently lives on (already excluded from
-  /// the candidate signals), or -1 for a first placement.
-  int current_shard = -1;
-  std::vector<PlacementSignal> shards;
-};
-
-/// Returns the chosen shard index. Must pick an alive, accepting
-/// candidate from `query.shards`; the frontend CHECK-fails otherwise.
-using PlacementPolicy = std::function<int(const PlacementQuery&)>;
-
-/// The default policy: pin, then brick affinity, then least
-/// outstanding cost, ties to the lowest index (see the header
-/// comment). Custom policies can call this as their fallback.
-int default_placement(const PlacementQuery& query);
 
 /// One computed relocation, shared by every control-plane trigger:
 /// failover() (crash — frames come from the crash snapshot),
@@ -205,38 +162,20 @@ struct MigrationPlan {
 struct FrontendConfig {
   int shards = 2;
   int gpus_per_shard = 4;
-  /// Hardware model + node packing for every shard's cluster.
+  /// Hardware model for every shard's cluster (packed four GPUs per
+  /// node, like the paper's).
   cluster::HardwareModel hw = cluster::HardwareModel::ncsa_accelerator_cluster();
-  int max_gpus_per_node = 4;
   /// Per-shard RenderService configuration (policy, cache, ...).
   /// Adaptive quality flows through unchanged: each shard runs its own
   /// SLO controller (service.interactive_slo_s / max_degrade_lod) and
   /// per-session quality floors (SessionProfile::quality) ride the
   /// profile to whichever shard placement picks.
   ServiceConfig service;
-  /// Optional per-shard brick-cache policy override: when non-empty it
-  /// must name one policy per INITIAL shard; shards added by the
-  /// autoscaler use service.cache_policy. Empty (default): every shard
-  /// uses service.cache_policy.
-  std::vector<CachePolicy> cache_policy_per_shard;
 
   // --- control plane ------------------------------------------------------
   HandoffConfig handoff;
   RebalanceConfig rebalance;
   AutoscaleConfig autoscale;
-  /// Placement hook; null runs default_placement. The policy sees
-  /// every placement-shaped decision: first placement and voluntary
-  /// migration targets (failover keeps its documented
-  /// least-outstanding-cost survivor pick).
-  PlacementPolicy placement;
-
-  // --- deprecated aliases (one release) -----------------------------------
-  /// DEPRECATED: use handoff.peer_hydration. When set, overrides it.
-  std::optional<bool> enable_peer_hydration;
-  /// DEPRECATED: use handoff.fabric. When set, overrides it.
-  std::optional<net::FabricModel> hydration_fabric;
-  /// DEPRECATED: use handoff.failover_prepush. When set, overrides it.
-  std::optional<bool> failover_prepush;
 };
 
 struct ShardStats {
@@ -249,14 +188,8 @@ struct ShardStats {
   bool retired = false;
   double active_from_s = 0.0;
   double active_to_s = std::numeric_limits<double>::infinity();
-  /// Peer hydration (HandoffConfig::peer_hydration): stored bytes this
-  /// shard received from warm siblings instead of reading disk, and the
-  /// disk bytes those hydrations avoided (equal today — both paths move
-  /// the stored payload; kept separate so a future wire format can
-  /// diverge).
-  std::uint64_t bytes_hydrated_from_peers = 0;
-  std::uint64_t bytes_disk_avoided = 0;
-  std::uint64_t bricks_hydrated = 0;
+  /// Peer hydration (HandoffConfig::peer_hydration) is counted in
+  /// service.{chunks_hydrated, bytes_hydrated}.
   ServiceStats service;
 };
 
@@ -269,10 +202,10 @@ struct FrontendStats {
   double fps = 0.0;  // frames_total / makespan
   double cache_hit_rate = 0.0;  // hits / (hits+misses) across shards
   std::uint64_t bytes_h2d_saved = 0;
-  /// Farm-wide peer hydration (sums of the per-shard counters).
+  /// Farm-wide peer hydration: stored bytes shards received from warm
+  /// siblings instead of reading disk (the sum of every shard's
+  /// ServiceStats::bytes_hydrated, so completed frames' chunks only).
   std::uint64_t bytes_hydrated_from_peers = 0;
-  std::uint64_t bytes_disk_avoided = 0;
-  std::uint64_t bricks_hydrated = 0;
   /// Failover: crashed shards failed over, orphaned sessions re-pinned
   /// to siblings, undelivered frames re-issued there.
   std::uint64_t failovers = 0;
@@ -349,16 +282,14 @@ class ServiceFrontend final : public SessionBackend {
   /// crashed): placement and migration will not target it.
   bool shard_accepting(int index) const;
   bool shard_retired(int index) const;
-  /// The config AFTER deprecated aliases folded into their sub-configs.
-  const FrontendConfig& config() const { return config_; }
 
   // --- control plane ------------------------------------------------------
   /// Voluntarily migrate a placed session at a frame boundary: its
   /// queued frames are extracted live (no crash snapshot), the session
-  /// re-opens on `target_shard` (-1 lets the placement policy choose
+  /// re-opens on `target_shard` (-1 lets the placement rule choose
   /// among the other accepting shards), retained client callbacks are
   /// re-installed, the source cache's warm bricks for the moved
-  /// frames' volumes are pre-pushed (HandoffConfig::migration_prepush)
+  /// frames' volumes are pre-pushed (HandoffConfig::prepush)
   /// and the frames re-issue in order with arrivals floored past the
   /// handoff window. A frame of the session already in flight on the
   /// source finishes and delivers THERE (its callbacks remain
@@ -374,7 +305,7 @@ class ServiceFrontend final : public SessionBackend {
   int add_shard();
 
   /// Shrink the farm: stop placing onto `index`, migrate every placed
-  /// session off it (placement policy picks each target), serve any
+  /// session off it (the placement rule picks each target), serve any
   /// remaining internal work, then retire the shard — it serves
   /// nothing afterwards and its windows capacity contribution ends at
   /// the retirement time. Its serving history stays in stats(). Emits
@@ -392,14 +323,14 @@ class ServiceFrontend final : public SessionBackend {
   /// Fail over a crashed shard: re-pin its sessions onto surviving
   /// siblings (least outstanding cost, ties to the lowest index),
   /// pre-push the crashed cache's warm bricks for the orphaned volumes
-  /// (HandoffConfig::failover_prepush), and re-issue the crash
+  /// (HandoffConfig::prepush), and re-issue the crash
   /// snapshot (RenderService::unserved_frames) in global submission
   /// order — all through the same execute_migration() primitive the
   /// voluntary paths use. drain() calls this automatically when it
   /// meets a crashed shard; idempotent.
   void failover(int crashed_shard);
   /// Pin an UNPLACED session to a shard ahead of its first submit
-  /// (sets SessionProfile::pin_shard; the placement policy honors it).
+  /// (sets SessionProfile::pin_shard; placement honors it).
   /// Range-validated; idempotent — re-pinning to the same shard (or
   /// pinning a session already placed there) is a no-op, while moving
   /// an already-placed session is an error: use migrate_session().
@@ -428,18 +359,20 @@ class ServiceFrontend final : public SessionBackend {
     /// makes for placement).
     std::unique_ptr<net::Fabric> fabric;
     int sessions_placed = 0;
-    std::uint64_t bytes_hydrated_from_peers = 0;
-    std::uint64_t bytes_disk_avoided = 0;
-    std::uint64_t bricks_hydrated = 0;
     /// Set once failover() has evacuated this crashed shard.
     bool failed_over = false;
     /// Elastic lifecycle: accepting=false while draining and after
     /// retirement; retired shards serve nothing and are skipped
-    /// everywhere (placement, hydration, drain sweeps).
+    /// everywhere (placement, hydration, drain rounds).
     bool accepting = true;
     bool retired = false;
     double active_from_s = 0.0;
     double active_to_s = std::numeric_limits<double>::infinity();
+
+    /// Placement, migration and the control passes may target it:
+    /// alive and accepting (draining clears `accepting` before the
+    /// shard retires).
+    bool takes_work() const { return accepting && !service->crashed(); }
   };
   struct FrontendSession {
     SessionProfile profile;
@@ -459,16 +392,16 @@ class ServiceFrontend final : public SessionBackend {
 
   /// Build one shard (used by the constructor and add_shard).
   Shard make_shard(int index);
-  /// Run the placement policy over the current farm signals and
-  /// validate its answer. `exclude_shard` (a migration's source) is
-  /// reported as non-accepting in the query.
-  int resolve_placement(const SessionProfile& profile,
-                        const volren::Volume* volume, int exclude_shard) const;
-  /// Failover's documented survivor pick: least outstanding cost among
-  /// alive accepting shards, ties to the lowest index.
-  int least_loaded_target(int exclude_shard) const;
+  /// The placement rule (see the header comment) over the alive,
+  /// accepting shards other than `exclude_shard` (a migration's
+  /// source). A null profile honors no pin; a null volume is warm
+  /// nowhere. CHECK-fails when no shard qualifies.
+  int pick_shard(const SessionProfile* profile, const volren::Volume* volume,
+                 int exclude_shard) const;
+  /// True when some shard other than `exclude_shard` takes work.
+  bool any_other_takes_work(int exclude_shard) const;
   /// Compute a voluntary plan for one session: extract its live queue
-  /// from the source shard and pick the target (policy when < 0).
+  /// from the source shard and pick the target (pick_shard when < 0).
   MigrationPlan plan_voluntary(int session, int target_shard,
                                double decision_s);
   /// The shared repoint-plus-handoff core (see MigrationPlan).
@@ -476,12 +409,9 @@ class ServiceFrontend final : public SessionBackend {
   /// Steady-state control passes, run at horizon frame boundaries.
   /// rebalance_pass returns the number of sessions it moved.
   int rebalance_pass(double now_s);
-  void autoscale_pass(double now_s);
+  void autoscale_pass();
   /// Max simulated time over live shards — the farm clock.
   double farm_now() const;
-  /// GPU-busy seconds shard `index` logged in [now - span, now).
-  double trailing_busy_s(int index, double now_s, double span_s) const;
-  int accepting_shards() const;
   /// The HydrationSource installed on every shard: probe siblings for a
   /// warm copy of (volume -> their id, key.brick_id, key.layout_id) and
   /// ship it over the requesting shard's fabric. Returns false (disk
@@ -515,7 +445,6 @@ class ServiceFrontend final : public SessionBackend {
   std::uint64_t rebalance_migrations_ = 0;
   std::uint64_t shards_added_ = 0;
   std::uint64_t shards_drained_ = 0;
-  double last_scale_s_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace vrmr::service

@@ -19,6 +19,17 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// VRAM held back from the cache budget for the working frame (brick
+/// being staged, kernel output slots, transfer texture).
+constexpr std::uint64_t kCacheReserveBytes = 512ull << 20;
+/// Occupancy scan budget: volumes above this voxel count get a
+/// subsampled, non-exact scan — metadata only, never culled from.
+constexpr std::int64_t kOccupancyMaxVoxels = std::int64_t{1} << 24;
+/// Failure-detection timeout for injected faults whose event carries no
+/// param_s: how long a lane is wedged before the failure is observed (a
+/// stuck read, a missed completion).
+constexpr double kFaultDetectS = 1e-3;
+
 /// Serve-order tie-break: smaller key wins, then smaller frame_id —
 /// global submission order, never session open order.
 struct PickKey {
@@ -102,7 +113,7 @@ RenderService::RenderService(cluster::Cluster& cluster, ServiceConfig config)
         config_.cache_capacity_override > 0
             ? config_.cache_capacity_override
             : BrickCache::capacity_for(cluster_.config().hw.gpu,
-                                       config_.cache_reserve_bytes);
+                                       kCacheReserveBytes);
     cache_.emplace(cluster_.total_gpus(), capacity, config_.cache_policy);
   }
   lane_busy_.assign(static_cast<std::size_t>(cluster_.total_gpus()), 0);
@@ -656,7 +667,7 @@ RenderService::QualityState& RenderService::quality_state(const Pending& pending
   }
   if (config_.enable_occupancy_culling && qs.occupancy == nullptr) {
     const std::int64_t voxels = pending.request.volume->voxel_count();
-    const int scan_stride = voxels > config_.occupancy_max_voxels ? 4 : 1;
+    const int scan_stride = voxels > kOccupancyMaxVoxels ? 4 : 1;
     qs.occupancy = std::make_shared<const lod::OccupancyIndex>(
         *pending.request.volume, *pending.layout, /*cell_voxels=*/8, scan_stride);
   }
@@ -1412,7 +1423,7 @@ void RenderService::inject_fault(const fault::FaultEvent& event) {
       fault.time_s = event.time_s;
       fault.gpu = event.target;
       fault.detect_s =
-          event.param_s > 0.0 ? event.param_s : config_.fault_detect_s;
+          event.param_s > 0.0 ? event.param_s : kFaultDetectS;
       disk_faults_.push_back(fault);
       break;
     }
@@ -1421,7 +1432,7 @@ void RenderService::inject_fault(const fault::FaultEvent& event) {
                      "stall target lane " << event.target << " out of range");
       const int gpu = event.target;
       const double hold =
-          event.param_s > 0.0 ? event.param_s : config_.fault_detect_s;
+          event.param_s > 0.0 ? event.param_s : kFaultDetectS;
       engine.schedule_at(at, [this, gpu, hold] {
         if (crashed_) return;
         ++faults_injected_;

@@ -151,10 +151,6 @@ struct ServiceConfig {
   /// current frame leaves idle (Quantum pipeline with cache only).
   bool enable_prefetch = true;
 
-  /// VRAM held back from the cache budget for the working frame
-  /// (brick being staged, kernel output slots, transfer texture).
-  std::uint64_t cache_reserve_bytes = 512ull << 20;
-
   /// Non-zero overrides the DeviceProps-derived cache budget (tests).
   std::uint64_t cache_capacity_override = 0;
 
@@ -191,9 +187,6 @@ struct ServiceConfig {
   /// off by default because culled bricks change cache/staging
   /// telemetry that replay baselines compare against.
   bool enable_occupancy_culling = false;
-  /// Occupancy scan budget: volumes above this voxel count get a
-  /// subsampled, non-exact scan — metadata only, never culled from.
-  std::int64_t occupancy_max_voxels = std::int64_t{1} << 24;
 
   // --- brick compression (src/compress) ------------------------------------
   /// Codec for every byte-moving path: None (default) stages raw
@@ -214,10 +207,6 @@ struct ServiceConfig {
   /// chunk's retry can issue there (exponential backoff; other lanes
   /// are unaffected). 0 retries immediately at the next pump.
   double retry_backoff_s = 200e-6;
-  /// Default failure-detection timeout for injected faults whose event
-  /// carries no param_s: how long a lane is wedged before the failure
-  /// is observed (a stuck read, a missed completion).
-  double fault_detect_s = 1e-3;
 };
 
 /// One bin of the windowed service counters: activity inside
@@ -425,7 +414,7 @@ class RenderService final : public SessionBackend {
   /// kind:
   ///   DiskReadError — the next map quantum issued at/after time_s on
   ///     GPU `target` (-1 = any lane) fails after its detection timeout
-  ///     (param_s, default ServiceConfig::fault_detect_s); the chunk is
+  ///     (param_s, default 1 ms); the chunk is
   ///     restored and retried under exponential lane backoff.
   ///   LaneStall     — GPU `target`'s stream is held busy for param_s
   ///     (in-flight work completes late; nothing is lost).
@@ -507,13 +496,6 @@ class RenderService final : public SessionBackend {
   /// every queue is empty. The frontend's horizon-round drain uses it
   /// to jump a control horizon over an idle gap.
   double next_arrival_s() const { return earliest_head_arrival(); }
-  /// Zero-copy view of the windowed bins (stats_window_s > 0), keyed
-  /// by bin index, utilization NOT filled in — the frontend's
-  /// rebalancer reads trailing busy from here without paying stats()'s
-  /// frame-history copy.
-  const std::map<std::int64_t, ServiceWindow>& window_bins() const {
-    return windows_;
-  }
   /// True when the volume is registered and has at least one brick
   /// resident on some GPU (the frontend's brick-affinity signal).
   bool volume_warm(const volren::Volume* volume) const;

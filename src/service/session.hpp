@@ -71,7 +71,7 @@ struct SessionProfile {
   /// (lod::select_level). 1.0 = full fidelity (the default).
   float quality = 1.0f;
   /// Frontend-only placement override: pin this session to the given
-  /// shard index instead of the placement policy's choice (cold-shard
+  /// shard index instead of the placement rule's choice (cold-shard
   /// warm-up experiments, capacity drains). Out-of-range values are
   /// rejected at open; RenderService ignores the field.
   std::optional<int> pin_shard;

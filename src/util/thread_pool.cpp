@@ -65,7 +65,11 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
       (total + grain - 1) / grain, static_cast<std::int64_t>(size()) * 4);
   const std::int64_t chunk_size = (total + chunks - 1) / chunks;
 
-  std::atomic<std::int64_t> remaining{chunks};
+  // Completion state lives on this frame, so no worker may touch it once
+  // the caller can return: `remaining` only changes under done_mutex and
+  // the last worker notifies before unlocking. The caller therefore
+  // cannot observe zero until every worker is done with done_mutex.
+  std::int64_t remaining = chunks;
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
@@ -87,17 +91,15 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
           if (!first_error) first_error = std::current_exception();
           failed.store(true, std::memory_order_relaxed);
         }
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        std::lock_guard<std::mutex> dlock(done_mutex);
+        if (--remaining == 0) done_cv.notify_all();
       }});
     }
   }
   cv_.notify_all();
 
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 
   if (first_error) std::rethrow_exception(first_error);
 }

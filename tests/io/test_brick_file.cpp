@@ -26,6 +26,12 @@ class BrickFileTest : public testing::Test {
   fs::path dir_;
 };
 
+/// Opens a file the test wrote itself; an IoError fails the test
+/// (Expected::value() throws CheckError).
+BrickFileReader open_reader(const fs::path& file) {
+  return std::move(BrickFileReader::open(file).value());
+}
+
 std::vector<float> random_payload(Int3 dims, std::uint64_t seed) {
   std::vector<float> v(static_cast<size_t>(dims.volume()));
   Pcg32 rng(seed);
@@ -46,7 +52,7 @@ TEST_F(BrickFileTest, RoundTripsHeaderAndPayloads) {
     writer.finalize();
   }
 
-  BrickFileReader reader(path("vol.vrbf"));
+  BrickFileReader reader = open_reader(path("vol.vrbf"));
   EXPECT_EQ(reader.header().volume_dims, volume_dims);
   EXPECT_EQ(reader.header().brick_size, 16);
   EXPECT_EQ(reader.header().ghost, 1);
@@ -54,7 +60,7 @@ TEST_F(BrickFileTest, RoundTripsHeaderAndPayloads) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(reader.record(i).grid_pos, (Int3{i % 2, i / 2, 0}));
     EXPECT_EQ(reader.record(i).padded_dims, brick_dims);
-    EXPECT_EQ(reader.read_brick(i), payloads[static_cast<size_t>(i)]);
+    EXPECT_EQ(reader.try_read_brick(i).value(), payloads[static_cast<size_t>(i)]);
   }
 }
 
@@ -66,13 +72,13 @@ TEST_F(BrickFileTest, RandomAccessOrderIndependent) {
     writer.append_brick(Int3{1, 0, 0}, dims, random_payload(dims, 2));
     writer.finalize();
   }
-  BrickFileReader reader(path("ra.vrbf"));
+  BrickFileReader reader = open_reader(path("ra.vrbf"));
   // Read out of order, repeatedly.
-  const auto second = reader.read_brick(1);
-  const auto first = reader.read_brick(0);
+  const auto second = reader.try_read_brick(1).value();
+  const auto first = reader.try_read_brick(0).value();
   EXPECT_EQ(first, random_payload(dims, 1));
   EXPECT_EQ(second, random_payload(dims, 2));
-  EXPECT_EQ(reader.read_brick(1), second);
+  EXPECT_EQ(reader.try_read_brick(1).value(), second);
 }
 
 TEST_F(BrickFileTest, WriterValidatesPayloadSize) {
@@ -106,11 +112,15 @@ TEST_F(BrickFileTest, ReaderRejectsBadMagic) {
     std::vector<char> zeros(64, 0);
     out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
   }
-  EXPECT_THROW(BrickFileReader reader(path("junk.vrbf")), vrmr::CheckError);
+  const auto reader = BrickFileReader::open(path("junk.vrbf"));
+  ASSERT_FALSE(reader.has_value());
+  EXPECT_EQ(reader.error().code, IoError::Code::BadMagic);
 }
 
 TEST_F(BrickFileTest, ReaderRejectsMissingFile) {
-  EXPECT_THROW(BrickFileReader reader(path("nonexistent.vrbf")), vrmr::CheckError);
+  const auto reader = BrickFileReader::open(path("nonexistent.vrbf"));
+  ASSERT_FALSE(reader.has_value());
+  EXPECT_EQ(reader.error().code, IoError::Code::OpenFailed);
 }
 
 TEST_F(BrickFileTest, ReaderRejectsOutOfRangeBrickIndex) {
@@ -119,8 +129,10 @@ TEST_F(BrickFileTest, ReaderRejectsOutOfRangeBrickIndex) {
     writer.append_brick(Int3{0, 0, 0}, Int3{4, 4, 4}, random_payload(Int3{4, 4, 4}, 3));
     writer.finalize();
   }
-  BrickFileReader reader(path("one.vrbf"));
-  EXPECT_THROW((void)reader.read_brick(1), vrmr::CheckError);
+  BrickFileReader reader = open_reader(path("one.vrbf"));
+  const auto past_end = reader.try_read_brick(1);
+  ASSERT_FALSE(past_end.has_value());
+  EXPECT_EQ(past_end.error().code, IoError::Code::BadIndex);
   EXPECT_THROW((void)reader.record(-1), vrmr::CheckError);
 }
 
@@ -132,10 +144,10 @@ TEST_F(BrickFileTest, NonUniformPaddedDimsSupported) {
     writer.append_brick(Int3{1, 0, 0}, Int3{3, 4, 4}, random_payload(Int3{3, 4, 4}, 2));
     writer.finalize();
   }
-  BrickFileReader reader(path("edge.vrbf"));
+  BrickFileReader reader = open_reader(path("edge.vrbf"));
   EXPECT_EQ(reader.record(0).padded_dims, (Int3{9, 4, 4}));
   EXPECT_EQ(reader.record(1).padded_dims, (Int3{3, 4, 4}));
-  EXPECT_EQ(reader.read_brick(1).size(), 3u * 4 * 4);
+  EXPECT_EQ(reader.try_read_brick(1).value().size(), 3u * 4 * 4);
 }
 
 TEST_F(BrickFileTest, RleFileStoresFewerBytesAndRoundTripsExactly) {
@@ -153,15 +165,15 @@ TEST_F(BrickFileTest, RleFileStoresFewerBytesAndRoundTripsExactly) {
     writer.append_brick(Int3{1, 0, 0}, dims, noisy);
     writer.finalize();
   }
-  BrickFileReader reader(path("rle.vrbf"));
+  BrickFileReader reader = open_reader(path("rle.vrbf"));
   EXPECT_EQ(reader.header().version, 2u);
   const std::uint64_t logical = uniform.size() * sizeof(float);
   EXPECT_EQ(reader.record(0).codec, compress::Codec::Rle);
   EXPECT_EQ(reader.record(0).logical_bytes, logical);
   EXPECT_EQ(reader.record(0).bytes, 8u);  // one (count, value) pair
   EXPECT_EQ(reader.record(1).bytes, logical);  // raw fallback
-  EXPECT_EQ(reader.read_brick(0), uniform);
-  EXPECT_EQ(reader.read_brick(1), noisy);
+  EXPECT_EQ(reader.try_read_brick(0).value(), uniform);
+  EXPECT_EQ(reader.try_read_brick(1).value(), noisy);
 }
 
 TEST_F(BrickFileTest, WriterRejectsModeledOnlyCodec) {
@@ -199,12 +211,12 @@ TEST_F(BrickFileTest, ReaderStillLoadsVersion1Files) {
     out.write(reinterpret_cast<const char*>(payload.data()),
               static_cast<std::streamsize>(payload.size() * sizeof(float)));
   }
-  BrickFileReader reader(path("v1.vrbf"));
+  BrickFileReader reader = open_reader(path("v1.vrbf"));
   EXPECT_EQ(reader.header().version, 1u);
   ASSERT_EQ(reader.num_bricks(), 1);
   EXPECT_EQ(reader.record(0).codec, compress::Codec::None);
   EXPECT_EQ(reader.record(0).logical_bytes, reader.record(0).bytes);
-  EXPECT_EQ(reader.read_brick(0), payload);
+  EXPECT_EQ(reader.try_read_brick(0).value(), payload);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Recoverable I/O error paths: BrickFileReader::open / try_read_brick
-// return IoError values instead of CHECK-aborting, the reader stays
-// usable after a failed read, and the throwing back-compat entry points
-// still throw. A corrupt file is a servable condition for the farm
-// (fall back to a peer or degrade), not a process abort.
+// return IoError values instead of CHECK-aborting, and the reader stays
+// usable after a failed read. A corrupt file is a servable condition
+// for the farm (fall back to a peer or degrade), not a process abort.
 
 #include <gtest/gtest.h>
 
@@ -112,19 +111,6 @@ TEST_F(BrickFileErrorTest, TryReadBrickRejectsBadIndex) {
   const auto high = reader->try_read_brick(2);
   ASSERT_FALSE(high.has_value());
   EXPECT_EQ(high.error().code, IoError::Code::BadIndex);
-}
-
-TEST_F(BrickFileErrorTest, ThrowingEntryPointsStillThrow) {
-  // Back-compat contract: the original constructor and read_brick keep
-  // CHECK-throwing so existing callers fail loudly, while open /
-  // try_read_brick carry the recoverable path.
-  EXPECT_THROW(BrickFileReader(path("missing.vrbf")), CheckError);
-  const fs::path good = write_good("throwing.vrbf");
-  BrickFileReader reader(good);
-  const BrickRecord& last = reader.record(1);
-  fs::resize_file(good, last.offset + last.bytes / 2);
-  EXPECT_THROW(reader.read_brick(1), CheckError);
-  EXPECT_NO_THROW(reader.read_brick(0));
 }
 
 }  // namespace

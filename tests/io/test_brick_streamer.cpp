@@ -26,7 +26,8 @@ class BrickStreamerTest : public testing::Test {
       writer.append_brick(Int3{i, 0, 0}, kDims, payload(i));
     }
     writer.finalize();
-    reader_ = std::make_unique<BrickFileReader>(path_);
+    reader_ = std::make_unique<BrickFileReader>(
+        std::move(BrickFileReader::open(path_).value()));
   }
   void TearDown() override { fs::remove(path_); }
 
@@ -47,7 +48,7 @@ TEST_F(BrickStreamerTest, DeliversScheduleInOrder) {
   BrickStreamer streamer(*reader_, schedule, /*window=*/2);
   for (int i = 0; i < kBricks; ++i) {
     EXPECT_EQ(streamer.next_brick(), i);
-    EXPECT_EQ(streamer.consume(), payload(i));
+    EXPECT_EQ(streamer.try_consume().value(), payload(i));
   }
   EXPECT_TRUE(streamer.done());
   EXPECT_EQ(streamer.reads(), static_cast<std::uint64_t>(kBricks));
@@ -60,7 +61,7 @@ TEST_F(BrickStreamerTest, WindowBoundsResidency) {
     BrickStreamer streamer(*reader_, schedule, window);
     while (!streamer.done()) {
       EXPECT_LE(streamer.resident(), static_cast<std::size_t>(window));
-      (void)streamer.consume();
+      (void)streamer.try_consume().value();
     }
   }
 }
@@ -71,7 +72,7 @@ TEST_F(BrickStreamerTest, PrefetchKeepsWindowFull) {
   // Constructor prefetches the first `window` bricks.
   EXPECT_EQ(streamer.resident(), 3u);
   EXPECT_EQ(streamer.reads(), 3u);
-  (void)streamer.consume();  // consume 0, prefetch 3
+  (void)streamer.try_consume().value();  // consume 0, prefetch 3
   EXPECT_EQ(streamer.resident(), 3u);
   EXPECT_EQ(streamer.reads(), 4u);
 }
@@ -79,18 +80,18 @@ TEST_F(BrickStreamerTest, PrefetchKeepsWindowFull) {
 TEST_F(BrickStreamerTest, ArbitrarySchedulesAndRepeats) {
   const std::vector<int> schedule{5, 0, 5, 2, 0};
   BrickStreamer streamer(*reader_, schedule, /*window=*/2);
-  EXPECT_EQ(streamer.consume(), payload(5));
-  EXPECT_EQ(streamer.consume(), payload(0));
-  EXPECT_EQ(streamer.consume(), payload(5));  // re-read after retirement
-  EXPECT_EQ(streamer.consume(), payload(2));
-  EXPECT_EQ(streamer.consume(), payload(0));
+  EXPECT_EQ(streamer.try_consume().value(), payload(5));
+  EXPECT_EQ(streamer.try_consume().value(), payload(0));
+  EXPECT_EQ(streamer.try_consume().value(), payload(5));  // re-read after retirement
+  EXPECT_EQ(streamer.try_consume().value(), payload(2));
+  EXPECT_EQ(streamer.try_consume().value(), payload(0));
   EXPECT_TRUE(streamer.done());
 }
 
 TEST_F(BrickStreamerTest, CountsBytes) {
   BrickStreamer streamer(*reader_, {0, 1}, 1);
-  (void)streamer.consume();
-  (void)streamer.consume();
+  (void)streamer.try_consume().value();
+  (void)streamer.try_consume().value();
   EXPECT_EQ(streamer.bytes_read(),
             2ull * static_cast<std::uint64_t>(kDims.volume()) * sizeof(float));
 }
@@ -99,8 +100,8 @@ TEST_F(BrickStreamerTest, RejectsBadArguments) {
   EXPECT_THROW(BrickStreamer(*reader_, {0}, 0), vrmr::CheckError);       // bad window
   EXPECT_THROW(BrickStreamer(*reader_, {99}, 1), vrmr::CheckError);     // bad brick id
   BrickStreamer streamer(*reader_, {0}, 1);
-  (void)streamer.consume();
-  EXPECT_THROW((void)streamer.consume(), vrmr::CheckError);  // exhausted
+  (void)streamer.try_consume().value();
+  EXPECT_THROW((void)streamer.try_consume(), vrmr::CheckError);  // exhausted
   EXPECT_THROW((void)streamer.next_brick(), vrmr::CheckError);
 }
 
@@ -123,12 +124,12 @@ TEST_F(BrickStreamerTest, CompressedFileCountsStoredBytesWithSameReads) {
     }
     writer.finalize();
   }
-  BrickFileReader reader(packed);
+  BrickFileReader reader = std::move(BrickFileReader::open(packed).value());
   std::vector<int> schedule(kBricks);
   std::iota(schedule.begin(), schedule.end(), 0);
   BrickStreamer streamer(reader, schedule, /*window=*/2);
   for (int i = 0; i < kBricks; ++i) {
-    const std::vector<float> voxels = streamer.consume();
+    const std::vector<float> voxels = streamer.try_consume().value();
     EXPECT_EQ(voxels, std::vector<float>(static_cast<size_t>(kDims.volume()),
                                          0.125f * static_cast<float>(i)));
   }

@@ -145,7 +145,7 @@ TEST(CompressionService, PeerHydrationServesColdShardFromWarmSibling) {
   FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.enable_peer_hydration = true;
+  config.handoff.peer_hydration = true;
   config.service.compression = compress::Codec::Rle;
   ServiceFrontend frontend(config);
 
@@ -169,16 +169,12 @@ TEST(CompressionService, PeerHydrationServesColdShardFromWarmSibling) {
   EXPECT_EQ(frontend.shard_of(cold), 1);
   const FrontendStats stats = frontend.stats();
   // Every one of the cold shard's misses hydrated from shard 0.
-  EXPECT_GT(stats.bricks_hydrated, 0u);
-  EXPECT_GT(stats.bytes_hydrated_from_peers, 0u);
-  EXPECT_EQ(stats.bytes_hydrated_from_peers, stats.bytes_disk_avoided);
   ASSERT_EQ(stats.shards.size(), 2u);
-  EXPECT_EQ(stats.shards[0].bricks_hydrated, 0u);  // the warm side probes no one
-  EXPECT_GT(stats.shards[1].bricks_hydrated, 0u);
-  EXPECT_EQ(stats.shards[1].service.chunks_hydrated,
-            stats.shards[1].bricks_hydrated);
-  EXPECT_EQ(stats.shards[1].service.bytes_hydrated,
-            stats.shards[1].bytes_hydrated_from_peers);
+  EXPECT_EQ(stats.shards[0].service.chunks_hydrated, 0u);  // the warm side probes no one
+  EXPECT_GT(stats.shards[1].service.chunks_hydrated, 0u);
+  EXPECT_GT(stats.shards[1].service.bytes_hydrated, 0u);
+  EXPECT_EQ(stats.bytes_hydrated_from_peers,
+            stats.shards[1].service.bytes_hydrated);
 }
 
 TEST(CompressionService, PeerHydrationFallsBackToDiskWhenNoSiblingIsWarm) {
@@ -189,7 +185,7 @@ TEST(CompressionService, PeerHydrationFallsBackToDiskWhenNoSiblingIsWarm) {
   FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.enable_peer_hydration = true;
+  config.handoff.peer_hydration = true;
   ServiceFrontend frontend(config);
   SessionProfile profile;
   profile.name = "cold";
@@ -199,7 +195,7 @@ TEST(CompressionService, PeerHydrationFallsBackToDiskWhenNoSiblingIsWarm) {
   frontend.drain();
   const FrontendStats stats = frontend.stats();
   EXPECT_EQ(stats.frames_total, 2);
-  EXPECT_EQ(stats.bricks_hydrated, 0u);
+  EXPECT_EQ(stats.shards[1].service.chunks_hydrated, 0u);
   EXPECT_EQ(stats.bytes_hydrated_from_peers, 0u);
 }
 

@@ -11,9 +11,11 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
 #include "service/frontend.hpp"
 #include "service/render_service.hpp"
 #include "util/check.hpp"
@@ -101,7 +103,7 @@ TEST(ElasticFarm, MigrationPrepushWarmsTargetAndStatsMergeEpochs) {
   const volren::Volume volume = volren::datasets::skull({24, 24, 24});
   const auto run = [&volume](bool prepush) {
     FrontendConfig config = two_shard_config();
-    config.handoff.migration_prepush = prepush;
+    config.handoff.prepush = prepush;
     ServiceFrontend frontend(config);
     Session s = frontend.open_session("warm-mover");
     frontend.pin_shard(s, 0);
@@ -420,80 +422,64 @@ TEST(ElasticFarm, AddShardJoinsAtFarmTimeAndWindowsTrackCapacity) {
   }
 }
 
-TEST(ElasticFarm, DeprecatedConfigAliasesFoldIntoHandoff) {
-  FrontendConfig config = two_shard_config();
-  config.handoff.peer_hydration = false;  // alias must override this
-  config.handoff.failover_prepush = true;
-  config.enable_peer_hydration = true;
-  config.failover_prepush = false;
-  net::FabricModel slow;
-  slow.latency_s = 123e-6;
-  config.hydration_fabric = slow;
-  ServiceFrontend frontend(std::move(config));
-  const FrontendConfig& resolved = frontend.config();
-  EXPECT_TRUE(resolved.handoff.peer_hydration);
-  EXPECT_FALSE(resolved.handoff.failover_prepush);
-  EXPECT_DOUBLE_EQ(resolved.handoff.fabric.latency_s, 123e-6);
-  // Unset aliases leave the sub-config alone.
-  FrontendConfig plain = two_shard_config();
-  plain.handoff.peer_hydration = true;
-  ServiceFrontend frontend2(std::move(plain));
-  EXPECT_TRUE(frontend2.config().handoff.peer_hydration);
-}
-
-TEST(ElasticFarm, CustomPlacementPolicyOverridesDefault) {
-  const volren::Volume volume = volren::datasets::skull({16, 16, 16});
-  FrontendConfig config = two_shard_config();
-  int queries_seen = 0;
-  config.placement = [&queries_seen](const PlacementQuery& query) {
-    ++queries_seen;
-    // Highest accepting index — the opposite of the default's
-    // lowest-index tie-break (and deliberately ignoring the pin).
-    int best = -1;
-    for (const PlacementSignal& signal : query.shards) {
-      if (signal.alive && signal.accepting) best = signal.shard;
-    }
-    return best;
-  };
+TEST(ElasticFarm, PlacementPrefersPinThenWarmThenLeastCostThenLowestIndex) {
+  // Five shards: shard 3 crashes and shard 4 is drained, so only 0-2
+  // may ever be chosen — even when a pin or a warm cache names 3 or 4.
+  const volren::Volume victim_vol = volren::datasets::skull({16, 16, 16});
+  const volren::Volume retired_vol = volren::datasets::skull({16, 16, 16});
+  const volren::Volume vol_a = volren::datasets::skull({16, 16, 16});
+  const volren::Volume vol_b = volren::datasets::skull({16, 16, 16});
+  FrontendConfig config;
+  config.shards = 5;
+  config.gpus_per_shard = 2;
   ServiceFrontend frontend(config);
-  Session s = frontend.open_session("custom");
-  frontend.pin_shard(s, 0);  // the policy sees the pin and may ignore it
-  s.submit(request_for(volume, 0.0));
-  EXPECT_EQ(frontend.shard_of(s), 1);
-  EXPECT_EQ(queries_seen, 1);
-  frontend.drain();
-  EXPECT_EQ(s.stats().frames, 1);
+  fault::FaultPlan plan;
+  plan.add({fault::FaultKind::ShardCrash, 0.0, 3, -1});
+  frontend.install_fault_plan(plan);
+  const auto place = [&frontend](const std::string& name,
+                                 const volren::Volume& volume,
+                                 int pin = -1) {
+    Session s = frontend.open_session(name);
+    if (pin >= 0) frontend.pin_shard(s, pin);
+    s.submit(request_for(volume, 0.0));
+    return s;
+  };
 
-  // The same hook steers voluntary migration targets.
-  Session t = frontend.open_session("custom2");
-  t.submit(request_for(volume, 0.0));
-  EXPECT_EQ(frontend.shard_of(t), 1);
-  frontend.migrate_session(t);  // policy choice among the OTHER shards
-  EXPECT_EQ(frontend.shard_of(t), 0);
+  // Shard 3 crashes the moment it serves; its orphan fails over to the
+  // least-loaded survivor, ties to the lowest index. Shard 4 serves one
+  // frame (retired_vol is warm there) and then drains away.
+  Session victim = place("victim", victim_vol, 3);
+  place("retiree", retired_vol, 4);
   frontend.drain();
-  EXPECT_EQ(t.stats().frames, 1);
-}
+  ASSERT_TRUE(frontend.shard(3).crashed());
+  EXPECT_EQ(frontend.shard_of(victim), 0);
+  ASSERT_TRUE(frontend.shard(4).volume_warm(&retired_vol));
+  frontend.drain_shard(4);
+  ASSERT_TRUE(frontend.shard_retired(4));
 
-TEST(ElasticFarm, DefaultPlacementPrefersPinThenWarmThenLeastCost) {
-  PlacementQuery query;
-  query.shards = {{0, true, true, false, 5.0},
-                  {1, true, true, true, 9.0},
-                  {2, true, true, false, 1.0}};
-  // Warm affinity beats raw cost...
-  EXPECT_EQ(default_placement(query), 1);
-  // ...a valid pin beats everything...
-  query.pinned = 2;
-  EXPECT_EQ(default_placement(query), 2);
-  // ...and with no pin and no warmth, least cost wins (ties low).
-  query.pinned.reset();
-  query.shards[1].warm = false;
-  EXPECT_EQ(default_placement(query), 2);
-  query.shards[0].outstanding_cost_s = 1.0;
-  EXPECT_EQ(default_placement(query), 0);
-  // Dead or non-accepting shards are never chosen.
-  query.shards[0].alive = false;
-  query.shards[2].accepting = false;
-  EXPECT_EQ(default_placement(query), 1);
+  // Idle farm, nothing warm: ties go to the lowest index...
+  Session a = place("a", vol_a);
+  EXPECT_EQ(frontend.shard_of(a), 0);
+  // ...and least outstanding cost beats index.
+  Session b = place("b", vol_b);
+  EXPECT_EQ(frontend.shard_of(b), 1);
+  frontend.drain();
+
+  // vol_a is warm on shard 0 only, vol_b on shard 1 only. Load both;
+  // shard 2 stays idle and cold.
+  for (int f = 0; f < 3; ++f) a.submit(request_for(vol_a, 0.0));
+  for (int f = 0; f < 2; ++f) b.submit(request_for(vol_b, 0.0));
+  // Warm beats least cost.
+  EXPECT_EQ(frontend.shard_of(place("warm", vol_b)), 1);
+  // A pin on a live, accepting shard beats warm.
+  EXPECT_EQ(frontend.shard_of(place("pinned", vol_b, 2)), 2);
+  // A pin on the crashed shard is ignored: warm picks shard 0.
+  EXPECT_EQ(frontend.shard_of(place("pin-crashed", vol_a, 3)), 0);
+  // A pin on the retired shard is ignored, and so is the warm cache it
+  // kept: nothing live is warm, so least cost picks shard 2.
+  EXPECT_EQ(frontend.shard_of(place("pin-retired", retired_vol, 4)), 2);
+  frontend.drain();
+  EXPECT_EQ(frontend.stats().frames_total, 13);  // every frame delivered
 }
 
 }  // namespace

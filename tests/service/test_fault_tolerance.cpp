@@ -353,8 +353,8 @@ TEST(FaultTolerance, PinToCrashedShardFallsBackToSurvivors) {
   ASSERT_TRUE(frontend.shard(0).crashed());
   EXPECT_EQ(frontend.shard_of(early), 1);  // failed over
   EXPECT_EQ(early.stats().frames, 1);      // still delivered
-  // A NEW session pinned to the now-crashed shard is redirected to the
-  // placement policy at first submit instead of queueing on a corpse.
+  // A NEW session pinned to the now-crashed shard is placed among the
+  // survivors at first submit instead of queueing on a corpse.
   Session redirected = frontend.open_session("redirected");
   frontend.pin_shard(redirected, 0);
   redirected.submit(request_for(volume, 0.0));
@@ -368,7 +368,7 @@ TEST(FaultTolerance, HydrationSurvivesInjectedFabricDrop) {
   FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.enable_peer_hydration = true;
+  config.handoff.peer_hydration = true;
   ServiceFrontend frontend(config);
   // Drop the first message INTO shard 1 — the hydration payload. The
   // reliable send must retransmit; without it the render plan would
@@ -392,7 +392,7 @@ TEST(FaultTolerance, HydrationSurvivesInjectedFabricDrop) {
   frontend.drain();
   EXPECT_EQ(cold.stats().frames, 1);
   const FrontendStats stats = frontend.stats();
-  EXPECT_GT(stats.bricks_hydrated, 0u);
+  EXPECT_GT(stats.shards[1].service.chunks_hydrated, 0u);
   EXPECT_GT(stats.bytes_hydrated_from_peers, 0u);
 }
 

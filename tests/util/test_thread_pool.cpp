@@ -83,6 +83,21 @@ TEST(ThreadPool, ManySmallDispatches) {
   EXPECT_EQ(total.load(), 1600);
 }
 
+TEST(ThreadPool, ManyTinyDispatchesReturnOnlyAfterWorkersFinish) {
+  // Two-iteration ranges finish almost instantly, so the caller often
+  // reaches its wait after the last chunk already ran. The completion
+  // state lives on the caller's frame: a worker that still touched it
+  // after the caller returned would lock a destroyed mutex (caught by
+  // ThreadSanitizer, or as a crash / stack smashing without it).
+  ThreadPool pool(4);
+  std::atomic<std::int64_t> total{0};
+  constexpr int kDispatches = 50000;
+  for (int round = 0; round < kDispatches; ++round) {
+    pool.parallel_for(0, 2, [&](std::int64_t i) { total += i + 1; });
+  }
+  EXPECT_EQ(total.load(), std::int64_t{3} * kDispatches);
+}
+
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   ThreadPool* a = &ThreadPool::global();
   ThreadPool* b = &ThreadPool::global();
