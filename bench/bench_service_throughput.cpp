@@ -40,7 +40,7 @@ volren::RenderOptions service_options(Int3 dims) {
   options.distance = 1.2f;
   options.elevation = 0.3f;
   // Functional decimation only; the simulated clock still pays for the
-  // logical resolution (DESIGN.md §2).
+  // logical resolution (RaycastSettings::decimation).
   options.cast.decimation = std::max(1, std::max({dims.x, dims.y, dims.z}) / 48);
   return options;
 }

@@ -4,8 +4,9 @@
 //
 // Scale: by default every bench runs the paper's exact evaluation
 // geometry — 512² images (§5) and logical volumes up to 1024³ — with
-// the functional sampling loop decimated per DESIGN.md §2 (stored proxy
-// grids, every logical step charged to the simulated clock). Set
+// the functional sampling loop decimated per RaycastSettings::decimation
+// (stored proxy grids, every logical step charged to the simulated
+// clock). Set
 // VRMR_FAST=1 to drop to 256² images for quicker iteration; the bench
 // header lines record whichever scale was used.
 
@@ -204,7 +205,7 @@ inline void print_header(const std::string& bench, const std::string& figure) {
             << "image " << image_size() << "x" << image_size()
             << (fast_mode() ? " (VRMR_FAST)" : " (paper scale)")
             << "; times are simulated seconds on the calibrated NCSA "
-               "Accelerator Cluster model (DESIGN.md §5)\n\n";
+               "Accelerator Cluster model (cluster/hardware_model.hpp)\n\n";
 }
 
 }  // namespace vrmr::bench

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "quickstart.ppm";
 
   // 1. A volume. Datasets are procedural proxies of the paper's Skull /
-  //    Supernova / Plume (DESIGN.md §2); any VolumeSource works.
+  //    Supernova / Plume (volren/datasets.hpp); any VolumeSource works.
   const volren::Volume volume = volren::datasets::skull({128, 128, 128});
 
   // 2. A simulated cluster: 8 GPUs packed 4 per node, hardware model

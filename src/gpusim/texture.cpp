@@ -9,9 +9,15 @@ Texture3D::Texture3D(Device& device, Int3 dims, std::uint64_t accounted_bytes)
 }
 
 void Texture3D::upload(std::span<const float> voxels) {
-  VRMR_CHECK_MSG(voxels.size() == static_cast<size_t>(dims_.volume()),
-                 "upload size " << voxels.size() << " != extent " << dims_.volume());
-  data_.assign(voxels.begin(), voxels.end());
+  upload(std::make_shared<const std::vector<float>>(voxels.begin(), voxels.end()));
+}
+
+void Texture3D::upload(std::shared_ptr<const std::vector<float>> voxels) {
+  VRMR_CHECK(voxels != nullptr);
+  VRMR_CHECK_MSG(voxels->size() == static_cast<size_t>(dims_.volume()),
+                 "upload size " << voxels->size() << " != extent " << dims_.volume());
+  data_ = std::move(voxels);
+  texels_ = data_->data();
 }
 
 Texture1D::Texture1D(Device& device, int entries) {

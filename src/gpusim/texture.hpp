@@ -14,6 +14,7 @@
 // sampled with normalized coordinates in [0, 1].
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -31,7 +32,8 @@ class Texture3D {
   /// against the device (0 = the stored payload size). The renderer's
   /// decimated-proxy mode stores a reduced grid but must still account
   /// the *logical* brick footprint so the fit-in-VRAM restriction and
-  /// out-of-core behaviour track paper-scale volumes (DESIGN.md §2).
+  /// out-of-core behaviour track paper-scale volumes
+  /// (volren::RaycastSettings::decimation).
   Texture3D(Device& device, Int3 dims, std::uint64_t accounted_bytes = 0);
 
   Int3 dims() const { return dims_; }
@@ -44,14 +46,19 @@ class Texture3D {
   /// charges this against both the PCIe link and the GPU).
   void upload(std::span<const float> voxels);
 
-  bool uploaded() const { return !data_.empty(); }
+  /// The same upload without a host copy: the texture samples `voxels`
+  /// in place and keeps it alive. This is how a brick payload that the
+  /// host already holds is staged.
+  void upload(std::shared_ptr<const std::vector<float>> voxels);
+
+  bool uploaded() const { return texels_ != nullptr; }
 
   /// Point fetch with clamp addressing (voxel index space).
   float fetch(int x, int y, int z) const {
     x = std::clamp(x, 0, dims_.x - 1);
     y = std::clamp(y, 0, dims_.y - 1);
     z = std::clamp(z, 0, dims_.z - 1);
-    return data_[(static_cast<size_t>(z) * dims_.y + y) * dims_.x + x];
+    return texels_[(static_cast<size_t>(z) * dims_.y + y) * dims_.x + x];
   }
 
   /// Trilinear fetch at unnormalized coordinates (CUDA linear-filter
@@ -67,14 +74,31 @@ class Texture3D {
     const float ty = fy - static_cast<float>(y0);
     const float tz = fz - static_cast<float>(z0);
 
-    const float c000 = fetch(x0, y0, z0);
-    const float c100 = fetch(x0 + 1, y0, z0);
-    const float c010 = fetch(x0, y0 + 1, z0);
-    const float c110 = fetch(x0 + 1, y0 + 1, z0);
-    const float c001 = fetch(x0, y0, z0 + 1);
-    const float c101 = fetch(x0 + 1, y0, z0 + 1);
-    const float c011 = fetch(x0, y0 + 1, z0 + 1);
-    const float c111 = fetch(x0 + 1, y0 + 1, z0 + 1);
+    float c000, c100, c010, c110, c001, c101, c011, c111;
+    if (x0 >= 0 && y0 >= 0 && z0 >= 0 && x0 + 1 < dims_.x && y0 + 1 < dims_.y &&
+        z0 + 1 < dims_.z) {
+      // All eight texels are inside: read them without clamping.
+      const size_t row = static_cast<size_t>(dims_.x);
+      const size_t slice = row * static_cast<size_t>(dims_.y);
+      const float* c = texels_ + (static_cast<size_t>(z0) * dims_.y + y0) * row + x0;
+      c000 = c[0];
+      c100 = c[1];
+      c010 = c[row];
+      c110 = c[row + 1];
+      c001 = c[slice];
+      c101 = c[slice + 1];
+      c011 = c[slice + row];
+      c111 = c[slice + row + 1];
+    } else {
+      c000 = fetch(x0, y0, z0);
+      c100 = fetch(x0 + 1, y0, z0);
+      c010 = fetch(x0, y0 + 1, z0);
+      c110 = fetch(x0 + 1, y0 + 1, z0);
+      c001 = fetch(x0, y0, z0 + 1);
+      c101 = fetch(x0 + 1, y0, z0 + 1);
+      c011 = fetch(x0, y0 + 1, z0 + 1);
+      c111 = fetch(x0 + 1, y0 + 1, z0 + 1);
+    }
 
     const float c00 = lerpf(c000, c100, tx);
     const float c10 = lerpf(c010, c110, tx);
@@ -88,7 +112,8 @@ class Texture3D {
  private:
   Int3 dims_;
   DeviceAllocation vram_;
-  std::vector<float> data_;
+  std::shared_ptr<const std::vector<float>> data_;
+  const float* texels_ = nullptr;  // data_->data(), read on every fetch
 };
 
 class Texture1D {

@@ -6,8 +6,8 @@
 // records (a) the brick's [min, max] scalar range and (b) a coarse
 // cell thumbnail of per-cell [min, max] ranges — the same shape as the
 // hydrant renderer's `ThumbnailTexture<int> chebyshev` empty-space map
-// (SNIPPETS.md), except the distance transform here is computed lazily
-// per transfer function at classification time.
+// (SNIPPETS.md), without its distance transform: nothing skips space
+// inside a brick yet.
 //
 // Soundness (what lets plan_frame cull a classified-empty brick with
 // bit-identical output):
@@ -93,10 +93,6 @@ struct BrickClassification {
   /// Share of thumbnail cells that are TF-empty (space-skipping
   /// potential even when the brick as a whole survives).
   float empty_cell_fraction = 0.0f;
-  /// Chebyshev (L-inf) cell distance to the nearest non-empty cell: 0
-  /// for non-empty cells, the hydrant-style safe skip radius for empty
-  /// ones (saturates at the grid's max axis when all cells are empty).
-  std::vector<std::uint16_t> chebyshev;
 };
 
 /// One (volume, layout, transfer function) classification.

@@ -3,7 +3,7 @@
 // LOD brick pyramid: per-volume mip levels sharing the base brick grid.
 //
 // Level L is the base volume decimated by stride 2^L (every stride-th
-// voxel, matching RaycastSettings::decimation semantics — DESIGN.md §2),
+// voxel, matching RaycastSettings::decimation semantics in volren/raycast.hpp),
 // with its own Volume wrapper and its own BrickLayout whose brick core
 // dims are the base layout's halved L times. Levels exist only while the
 // halving is *exact*: every axis of both the volume dims and the brick

@@ -53,7 +53,7 @@ BrickCache::Entry BrickCache::remove(Shard& shard, const BrickKey& key) {
   const auto it = shard.index.find(key);
   VRMR_CHECK_MSG(it != shard.index.end(), "removing an unindexed brick key");
   const Locator loc = it->second;
-  Entry entry = *loc.it;
+  Entry entry = std::move(*loc.it);
   shard.bytes_of(loc.list) -= entry.bytes;
   shard.list_of(loc.list).erase(loc.it);
   shard.index.erase(it);
@@ -63,7 +63,7 @@ BrickCache::Entry BrickCache::remove(Shard& shard, const BrickKey& key) {
 BrickCache::Entry BrickCache::pop_lru(Shard& shard, ListId from) {
   std::list<Entry>& list = shard.list_of(from);
   VRMR_CHECK_MSG(!list.empty(), "popping from an empty cache list");
-  Entry entry = list.back();
+  Entry entry = std::move(list.back());
   shard.bytes_of(from) -= entry.bytes;
   shard.index.erase(entry.key);
   list.pop_back();
@@ -104,7 +104,7 @@ bool BrickCache::lru_insert_evicting(Shard& shard, const BrickKey& key,
   while (shard.t1_bytes + bytes > capacity_) {
     count_eviction(pop_lru(shard, ListId::T1));
   }
-  insert_mru(shard, ListId::T1, Entry{key, bytes, logical_bytes, false});
+  insert_mru(shard, ListId::T1, Entry{key, bytes, logical_bytes, false, nullptr});
   ++stats_.insertions;
   stats_.stored_bytes_admitted += bytes;
   stats_.logical_bytes_admitted += logical_bytes;
@@ -160,7 +160,7 @@ void BrickCache::arc_replace(Shard& shard, bool b2_ghost_path) {
   // trace — B1/B2 record only the demand stream's history.
   if (!victim.speculative) {
     insert_mru(shard, take_t1 ? ListId::B1 : ListId::B2,
-               Entry{victim.key, victim.bytes, victim.logical_bytes, false});
+               Entry{victim.key, victim.bytes, victim.logical_bytes, false, nullptr});
   }
 }
 
@@ -236,7 +236,7 @@ bool BrickCache::arc_lookup_or_admit(Shard& shard, const BrickKey& key,
       return false;
     }
     arc_make_room(shard, bytes, from_b2);
-    insert_mru(shard, ListId::T2, Entry{key, bytes, logical_bytes, false});
+    insert_mru(shard, ListId::T2, Entry{key, bytes, logical_bytes, false, nullptr});
     ++stats_.insertions;
     stats_.stored_bytes_admitted += bytes;
     stats_.logical_bytes_admitted += logical_bytes;
@@ -250,7 +250,7 @@ bool BrickCache::arc_lookup_or_admit(Shard& shard, const BrickKey& key,
     return false;
   }
   arc_make_room(shard, bytes, /*b2_ghost_path=*/false);
-  insert_mru(shard, ListId::T1, Entry{key, bytes, logical_bytes, false});
+  insert_mru(shard, ListId::T1, Entry{key, bytes, logical_bytes, false, nullptr});
   ++stats_.insertions;
   stats_.stored_bytes_admitted += bytes;
   stats_.logical_bytes_admitted += logical_bytes;
@@ -281,7 +281,7 @@ bool BrickCache::arc_prefetch(Shard& shard, const BrickKey& key,
   }
   arc_make_room(shard, bytes, /*b2_ghost_path=*/false);
   insert_mru(shard, ListId::T1, Entry{key, bytes, logical_bytes,
-                                      /*speculative=*/true});
+                                      /*speculative=*/true, nullptr});
   ++stats_.insertions;
   stats_.stored_bytes_admitted += bytes;
   stats_.logical_bytes_admitted += logical_bytes;
@@ -349,6 +349,16 @@ std::optional<BrickCache::Residency> BrickCache::payload_of(
   const Locator& loc = it->second;
   if (loc.list != ListId::T1 && loc.list != ListId::T2) return std::nullopt;
   return Residency{loc.it->bytes, loc.it->logical_bytes};
+}
+
+std::shared_ptr<const volren::BrickPayload>* BrickCache::host_payload(
+    int gpu, const BrickKey& key) {
+  Shard& shard = shard_at(gpu);
+  const auto it = shard.index.find(key);
+  if (it == shard.index.end()) return nullptr;
+  const Locator& loc = it->second;
+  if (loc.list != ListId::T1 && loc.list != ListId::T2) return nullptr;
+  return &loc.it->payload;
 }
 
 void BrickCache::invalidate_volume(std::uint64_t volume_id) {

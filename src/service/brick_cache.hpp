@@ -38,16 +38,25 @@
 // share warm bricks, while distinct volumes never alias even when
 // their brick ids coincide (cross-session isolation).
 //
-// The cache is a pure bookkeeping structure on the simulated timeline:
-// deterministic, no wall-clock dependence.
+// The cache is a bookkeeping structure on the simulated timeline:
+// deterministic, no wall-clock dependence. Each resident entry also
+// owns the brick's host payload once a frame has mapped it
+// (host_payload()), so the host materializes a brick's voxels only
+// when the modeled GPU restages it; evicting, invalidating or
+// clearing the entry frees the payload with it.
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "gpusim/device_props.hpp"
+
+namespace vrmr::volren {
+struct BrickPayload;
+}  // namespace vrmr::volren
 
 namespace vrmr::service {
 
@@ -191,6 +200,13 @@ class BrickCache {
   };
   std::optional<Residency> payload_of(int gpu, const BrickKey& key) const;
 
+  /// The host payload slot of a resident entry (no recency touch, no
+  /// accounting); nullptr when the key is not resident on `gpu`
+  /// (ghosts included). The slot starts empty: the mapper fills it on
+  /// the entry's first cast and it lives exactly as long as the entry.
+  /// The pointer is valid until the cache is next mutated.
+  std::shared_ptr<const volren::BrickPayload>* host_payload(int gpu, const BrickKey& key);
+
   /// Speculative admission (camera-aware prefetch): admit `key` on
   /// `gpu` — evicting per policy to fit — WITHOUT charging a demand
   /// miss, so hit-rate telemetry reflects only what frames actually
@@ -277,6 +293,9 @@ class BrickCache {
     /// only): first demand touch re-arms instead of promoting, and
     /// eviction leaves no ghost.
     bool speculative = false;
+    /// Host voxels of a resident entry (null until first mapped; ghosts
+    /// never hold one).
+    std::shared_ptr<const volren::BrickPayload> payload;
   };
   struct Locator {
     ListId list = ListId::T1;

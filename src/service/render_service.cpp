@@ -509,6 +509,19 @@ void RenderService::check_serve_dims(const Pending& head) const {
                                "volume's shape");
 }
 
+namespace {
+
+/// A brick chunk's cache key. LOD chunks carry their level layout's
+/// signature so coarse payloads are first-class (tiny) cache entries
+/// distinct from the full-resolution brick; base chunks fall back to
+/// the memoized frame layout signature `lid`.
+BrickKey brick_key(std::uint64_t vid, std::uint64_t lid, const volren::BrickChunk& brick) {
+  const std::uint64_t sig = brick.cache_signature() != 0 ? brick.cache_signature() : lid;
+  return BrickKey{vid, brick.info().id, sig};
+}
+
+}  // namespace
+
 mr::StagingHook RenderService::make_staging_hook(const Pending& pending) {
   if (!cache_) return mr::StagingHook{};
   // Re-resolve the registration at serve time: an invalidation between
@@ -520,19 +533,13 @@ mr::StagingHook RenderService::make_staging_hook(const Pending& pending) {
   return [this, vid, lid](int gpu, const mr::Chunk& chunk) {
     const auto* brick = dynamic_cast<const volren::BrickChunk*>(&chunk);
     if (brick == nullptr) return false;  // non-brick chunks are never cached
-    // LOD chunks carry their level layout's signature so coarse
-    // payloads are first-class (tiny) cache entries distinct from the
-    // full-resolution brick; base chunks fall back to the memoized
-    // frame layout signature.
-    const std::uint64_t sig =
-        brick->cache_signature() != 0 ? brick->cache_signature() : lid;
     BrickCache::LookupOutcome outcome;
     // The cache budgets what VRAM holds: the stored (compressed)
     // payload. The logical size rides along for the residency-
     // multiplier counters (logical == stored when uncompressed).
-    const bool hit = cache_->lookup_or_admit(
-        gpu, BrickKey{vid, brick->info().id, sig}, chunk.stored_bytes(), &outcome,
-        chunk.device_bytes());
+    const bool hit = cache_->lookup_or_admit(gpu, brick_key(vid, lid, *brick),
+                                             chunk.stored_bytes(), &outcome,
+                                             chunk.device_bytes());
     if (trace_ != nullptr) {
       obs::TraceArgs args{{"brick", std::to_string(brick->info().id)}};
       if (outcome.ghost_b1) args.emplace_back("ghost", "b1");
@@ -735,10 +742,19 @@ mr::FetchHook RenderService::make_fetch_hook(const Pending& pending) {
                                   std::function<void()> done) {
     const auto* brick = dynamic_cast<const volren::BrickChunk*>(&chunk);
     if (brick == nullptr) return false;  // non-brick chunks: disk path
-    const std::uint64_t sig =
-        brick->cache_signature() != 0 ? brick->cache_signature() : lid;
-    return hydration_(gpu, volume, BrickKey{vid, brick->info().id, sig},
-                      chunk.stored_bytes(), std::move(done));
+    return hydration_(gpu, volume, brick_key(vid, lid, *brick), chunk.stored_bytes(),
+                      std::move(done));
+  };
+}
+
+volren::PayloadHook RenderService::make_payload_hook(const Pending& pending) {
+  if (!cache_) return volren::PayloadHook{};
+  const std::uint64_t vid = register_volume(pending.request.volume).id;
+  const std::uint64_t lid = pending.layout_sig;
+  // Called inside the map quantum, after staging admitted the key, so a
+  // brick evicted in between simply materializes for that one cast.
+  return [this, vid, lid](int gpu, const volren::BrickChunk& brick) {
+    return cache_->host_payload(gpu, brick_key(vid, lid, brick));
   };
 }
 
@@ -927,6 +943,7 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
   apply_compression(*active, &aq);
   aq.fetch_hook = make_fetch_hook(active->pending);
   aq.fault_hook = make_fault_hook();
+  aq.payload_hook = make_payload_hook(active->pending);
   if (trace_ != nullptr) {
     const double now = cluster_.engine().now();
     const bool interactive = active->priority == Priority::Interactive;

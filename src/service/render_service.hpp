@@ -674,6 +674,9 @@ class RenderService final : public SessionBackend {
   void apply_compression(ActiveFrame& active, volren::AdaptiveQuality* aq);
   /// Adapt the installed HydrationSource to the frame's cache keys.
   mr::FetchHook make_fetch_hook(const Pending& pending);
+  /// The frame's mappers keep each resident brick's host voxels in its
+  /// cache entry (BrickCache::host_payload). Null without a cache.
+  volren::PayloadHook make_payload_hook(const Pending& pending);
   /// SLO controller + per-request quality knobs: resolves the LOD this
   /// admission serves at, fills `aq` (and the keep-alive refs on
   /// `active`), flags degradation. Mutates `options` (max_lod/quality).

@@ -8,7 +8,8 @@
 // charging calibrated costs for every GPU kernel, PCIe copy, network
 // message and disk read onto a simulated clock. The engine is strictly
 // single-threaded and events at equal times fire in scheduling order,
-// so every experiment is bit-reproducible (DESIGN.md §6).
+// so every experiment is bit-reproducible (PipelineDeterminism in
+// tests/volren/test_pipeline_equivalence.cpp pins it).
 //
 // Heavy functional work (actually ray casting a brick) runs inside the
 // event callbacks and may internally use the host thread pool; the

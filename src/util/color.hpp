@@ -62,8 +62,12 @@ constexpr Vec3 blend_background(Rgba accum, Vec3 background) {
 /// premultiplied form, applying opacity correction for step size:
 /// alpha' = 1 - (1 - alpha)^(step / base_step).
 inline Rgba premultiply_corrected(Vec4 straight, float opacity_correction) {
-  const float a = 1.0f - std::pow(1.0f - clampf(straight.w, 0.0f, 1.0f),
-                                  opacity_correction);
+  const float transparency = 1.0f - clampf(straight.w, 0.0f, 1.0f);
+  // x^1 == x exactly, so an uncorrected step (every decimation-1 frame
+  // at one sample per voxel) skips the powf with bit-identical alpha.
+  const float a = 1.0f - (opacity_correction == 1.0f
+                              ? transparency
+                              : std::pow(transparency, opacity_correction));
   return {straight.x * a, straight.y * a, straight.z * a, a};
 }
 

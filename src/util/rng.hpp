@@ -2,7 +2,7 @@
 
 // Deterministic, seedable random number generation.
 //
-// The reproduction must be bit-deterministic across runs (DESIGN.md §6),
+// The reproduction must be bit-deterministic across runs (sim/engine.hpp),
 // so we avoid std::random_device / global state. PCG32 is the workhorse;
 // SplitMix64 derives stream seeds from a master seed.
 

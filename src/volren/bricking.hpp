@@ -8,7 +8,8 @@
 // stores a one-voxel ghost shell around its core (clamped at volume
 // faces) so trilinear sampling is continuous across brick boundaries —
 // this is what makes the MapReduce render bit-match the single-pass
-// reference (DESIGN.md §6). Core regions tile the volume exactly; ray
+// reference (tests/volren/test_pipeline_equivalence.cpp). Core regions
+// tile the volume exactly; ray
 // ownership of samples uses half-open [enter, exit) intervals, so every
 // sample belongs to exactly one brick.
 

@@ -29,7 +29,8 @@ struct MarchResult {
 ///
 /// `sample(p)` returns the scalar at world position p; `transfer(s)`
 /// the straight-alpha RGBA for scalar s. `decimation` strides the
-/// functional loop while charging every logical step (DESIGN.md §2).
+/// functional loop while charging every logical step
+/// (RaycastSettings::decimation).
 template <typename SampleFn, typename TransferFn>
 inline MarchResult march_ray(const Ray& ray, float t_anchor, float t_enter, float t_exit,
                              float dt, int decimation, float opacity_correction,
@@ -52,8 +53,13 @@ inline MarchResult march_ray(const Ray& ray, float t_anchor, float t_enter, floa
     if (!(t < t_exit)) break;
     const float scalar = sample(ray.at(t));
     const Vec4 straight = transfer(scalar);
-    result.color =
-        composite_over(result.color, premultiply_corrected(straight, opacity_correction));
+    // A transparent sample premultiplies to all zeros, and compositing
+    // zeros leaves the accumulator's bits unchanged: skip the
+    // arithmetic, still charge the step.
+    if (straight.w > 0.0f) {
+      result.color =
+          composite_over(result.color, premultiply_corrected(straight, opacity_correction));
+    }
     result.samples += static_cast<std::uint64_t>(decimation);
     if (result.color.a >= ert_threshold) {
       result.terminated_early = true;

@@ -1,16 +1,30 @@
 #include "volren/raycast.hpp"
 
-#include <atomic>
 #include <limits>
 
 #include "util/check.hpp"
 #include "volren/marching.hpp"
 
 namespace vrmr::volren {
+namespace {
 
-BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
-                           const BrickInfo& brick, const FrameSetup& frame,
-                           const gpusim::Texture1D& transfer_tex) {
+std::shared_ptr<const BrickPayload> materialize_payload(const Volume& volume,
+                                                        const BrickInfo& brick,
+                                                        int decimation) {
+  auto payload = std::make_shared<BrickPayload>();
+  payload->voxels = volume.materialize(brick.padded_origin, brick.padded_dims, decimation,
+                                       &payload->dims);
+  payload->decimation = decimation;
+  return payload;
+}
+
+/// The kernel proper. `get_payload()` supplies the brick's stored grid
+/// at frame.cast.decimation; it is called only when the brick is on
+/// screen.
+template <typename PayloadFn>
+BrickCastOutput cast_with(gpusim::Device& device, const Volume& volume,
+                          const BrickInfo& brick, const FrameSetup& frame,
+                          const gpusim::Texture1D& transfer_tex, PayloadFn&& get_payload) {
   BrickCastOutput out;
 
   const Camera& camera = frame.camera;
@@ -18,13 +32,10 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
   if (rect.empty()) return out;
 
   // Stage the brick texture (decimated proxy grid; logical bytes are
-  // accounted against VRAM).
-  Int3 stored;
-  const std::vector<float> voxels =
-      volume.materialize(brick.padded_origin, brick.padded_dims, frame.cast.decimation,
-                         &stored);
-  gpusim::Texture3D texture(device, stored, brick.device_bytes());
-  texture.upload(voxels);
+  // accounted against VRAM). The texture shares the payload's voxels.
+  const std::shared_ptr<const BrickPayload> payload = get_payload();
+  gpusim::Texture3D texture(device, payload->dims, brick.device_bytes());
+  texture.upload(std::shared_ptr<const std::vector<float>>(payload, &payload->voxels));
 
   // 16×16 blocks over the projected sub-image (§3.2), padded to block
   // granularity like a CUDA grid.
@@ -55,7 +66,13 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
   const int image_width = camera.width();
   const std::uint32_t brick_id = static_cast<std::uint32_t>(brick.id);
 
-  std::atomic<std::uint64_t> samples{0};
+  // One sample counter per block: a block's threads run in sequence on
+  // one worker, so each counter has a single writer. Padded to a cache
+  // line so neighbouring blocks on other workers do not share one.
+  struct alignas(64) BlockSamples {
+    std::uint64_t n = 0;
+  };
+  std::vector<BlockSamples> samples(static_cast<size_t>(grid.x) * grid.y);
 
   device.launch_2d(grid, block, [&](const gpusim::ThreadCtx& ctx) {
     const int gx = ctx.global_x();
@@ -89,7 +106,8 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
 
     const MarchResult res = march_ray(ray, t_vol0, t_enter, t_exit, dt, decimation,
                                       correction, ert, sample, transfer);
-    samples.fetch_add(res.samples, std::memory_order_relaxed);
+    samples[static_cast<size_t>(ctx.block_idx.y) * grid.x + ctx.block_idx.x].n +=
+        res.samples;
 
     if (res.color.a > 0.0f) {
       out.keys[slot] =
@@ -104,8 +122,18 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
     // else: zero contribution -> placeholder stays (§3.1.1)
   });
 
-  out.samples = samples.load(std::memory_order_relaxed);
+  for (const BlockSamples& s : samples) out.samples += s.n;
   return out;
+}
+
+}  // namespace
+
+BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
+                           const BrickInfo& brick, const FrameSetup& frame,
+                           const gpusim::Texture1D& transfer_tex) {
+  return cast_with(device, volume, brick, frame, transfer_tex, [&] {
+    return materialize_payload(volume, brick, frame.cast.decimation);
+  });
 }
 
 void RayCastMapper::init(gpusim::Device& device) {
@@ -128,15 +156,30 @@ mr::MapOutcome RayCastMapper::map(gpusim::Device& device, const mr::Chunk& chunk
   VRMR_CHECK_MSG(out.value_size() == sizeof(RayFragment),
                  "job value_size must be sizeof(RayFragment) = " << sizeof(RayFragment));
 
+  const Volume& volume = brick_chunk->volume();
+  const BrickInfo& info = brick_chunk->info();
+  const int decimation = frame_.cast.decimation;
+  // Reuse the payload the resident cache entry holds. BrickKey does not
+  // carry the decimation, so a payload built at another one is rebuilt
+  // and replaced, never sampled.
+  const auto get_payload = [&]() -> std::shared_ptr<const BrickPayload> {
+    PayloadSlot* slot = payloads_ ? payloads_(gpu_, *brick_chunk) : nullptr;
+    if (slot != nullptr && *slot != nullptr && (*slot)->decimation == decimation) {
+      return *slot;
+    }
+    std::shared_ptr<const BrickPayload> payload =
+        materialize_payload(volume, info, decimation);
+    if (slot != nullptr) *slot = payload;
+    return payload;
+  };
+
   BrickCastOutput cast;
   if (brick_chunk->lod_stride() > 1) {
     FrameSetup lod_frame = frame_;
     lod_frame.cast.lod_stride = brick_chunk->lod_stride();
-    cast = cast_brick(device, brick_chunk->volume(), brick_chunk->info(), lod_frame,
-                      *transfer_tex_);
+    cast = cast_with(device, volume, info, lod_frame, *transfer_tex_, get_payload);
   } else {
-    cast = cast_brick(device, brick_chunk->volume(), brick_chunk->info(), frame_,
-                      *transfer_tex_);
+    cast = cast_with(device, volume, info, frame_, *transfer_tex_, get_payload);
   }
   if (cast.threads > 0) {
     out.append_bulk(cast.keys, cast.fragments.data());

@@ -24,7 +24,9 @@
 // re-association; see tests/volren/test_pipeline_equivalence.cpp).
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "gpusim/device.hpp"
 #include "gpusim/texture.hpp"
@@ -49,7 +51,7 @@ struct RaycastSettings {
   /// step but *charges* every step to the simulated GPU, and the brick
   /// texture stores a correspondingly decimated grid. 1 = exact
   /// (always used by tests); >1 only for paper-scale bench volumes
-  /// (DESIGN.md §2).
+  /// (bench/common.hpp).
   int decimation = 1;
   /// LOD pyramid stride (2^level) of the volume being marched. Coarse
   /// levels step at their own (2^level x longer) voxel edge via
@@ -150,17 +152,38 @@ struct BrickCastOutput {
 
 /// Execute the ray-cast kernel for one brick on `device` (functional
 /// path used by both the MapReduce mapper and the binary-swap
-/// compositor ablation).
+/// compositor ablation). Materializes the brick's stored grid on every
+/// call.
 BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
                            const BrickInfo& brick, const FrameSetup& frame,
                            const gpusim::Texture1D& transfer_tex);
 
-/// mr::Mapper adapter: stages the brick texture, runs cast_brick,
-/// bulk-emits the slots.
+/// A brick's host payload: the stored grid its 3-D texture samples, as
+/// Volume::materialize built it at `decimation`.
+struct BrickPayload {
+  std::vector<float> voxels;  // x-fastest, dims.volume() entries
+  Int3 dims;                  // stored dims
+  int decimation = 1;
+};
+
+/// Where the host keeps a brick's payload while the modeled GPU holds
+/// the brick (the service's BrickCache entry). Returns the slot of the
+/// chunk's resident entry on `gpu`, or nullptr when the brick is not
+/// resident there. The slot is read and written during the map call
+/// only. An empty slot, or one built at another decimation, is refilled
+/// by the mapper.
+using PayloadSlot = std::shared_ptr<const BrickPayload>;
+using PayloadHook = std::function<PayloadSlot*(int gpu, const BrickChunk& chunk)>;
+
+/// mr::Mapper adapter: stages the brick texture, runs the cast kernel,
+/// bulk-emits the slots. With a payload hook, a resident brick's voxels
+/// are materialized once and reused until its cache entry goes.
 class RayCastMapper final : public mr::Mapper {
  public:
-  RayCastMapper(const Volume& volume, FrameSetup frame)
-      : volume_(&volume), frame_(std::move(frame)) {}
+  RayCastMapper(const Volume& volume, FrameSetup frame, PayloadHook payloads = {},
+                int gpu = 0)
+      : volume_(&volume), frame_(std::move(frame)), payloads_(std::move(payloads)),
+        gpu_(gpu) {}
 
   void init(gpusim::Device& device) override;
   mr::MapOutcome map(gpusim::Device& device, const mr::Chunk& chunk,
@@ -169,6 +192,8 @@ class RayCastMapper final : public mr::Mapper {
  private:
   const Volume* volume_;
   FrameSetup frame_;
+  PayloadHook payloads_;
+  int gpu_;
   std::unique_ptr<gpusim::Texture1D> transfer_tex_;
 };
 

@@ -106,9 +106,10 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
   // the one the mapper renders with, by construction.
   const FrameSetup frame = make_frame(volume, options);
   planned->camera_ = frame.camera;
-  planned->plan_->set_mapper_factory([&volume, frame](int, gpusim::Device&) {
-    return std::make_unique<RayCastMapper>(volume, frame);
-  });
+  planned->plan_->set_mapper_factory(
+      [&volume, frame, payloads = aq.payload_hook](int gpu, gpusim::Device&) {
+        return std::make_unique<RayCastMapper>(volume, frame, payloads, gpu);
+      });
 
   auto* pieces = &planned->pieces_;  // pointer-stable: PlannedFrame is pinned
   const float ert = options.cast.ert_threshold;

@@ -172,6 +172,9 @@ struct AdaptiveQuality {
   /// Fault-injection hook, copied into the frame's JobConfig (see
   /// mr::FaultHook): consulted at each map-quantum issue.
   mr::FaultHook fault_hook;
+  /// Host payload residency, handed to every mapper (see PayloadHook):
+  /// null = materialize every brick on every cast.
+  PayloadHook payload_hook;
 };
 
 /// A planned (not yet executed) frame: the ray-cast mapper, compositing

@@ -90,7 +90,7 @@ class Volume {
 
   /// Materialize the voxel region [origin, origin + size) with
   /// clamp-at-edges, optionally decimated by `stride` (stored grid
-  /// takes every stride-th logical voxel; see DESIGN.md §2).
+  /// takes every stride-th logical voxel; see RaycastSettings::decimation).
   /// Returns stored_dims voxels in x-fastest order.
   std::vector<float> materialize(Int3 origin, Int3 size, int stride = 1,
                                  Int3* stored_dims = nullptr) const;

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "util/check.hpp"
+#include "volren/raycast.hpp"
 
 namespace vrmr::service {
 namespace {
@@ -108,6 +111,53 @@ TEST(BrickCache, CapacityForLeavesReserve) {
   EXPECT_EQ(BrickCache::capacity_for(props, 1ull << 30), 3ull << 30);
   // Reserve swallowing the whole device leaves a zero-budget cache.
   EXPECT_EQ(BrickCache::capacity_for(props, 8ull << 30), 0u);
+}
+
+/// Fill a resident entry's host payload slot; returns a watch on it.
+std::weak_ptr<const volren::BrickPayload> attach_payload(BrickCache& cache, int gpu,
+                                                         const BrickKey& key) {
+  std::shared_ptr<const volren::BrickPayload>* slot = cache.host_payload(gpu, key);
+  EXPECT_NE(slot, nullptr);
+  if (slot == nullptr) return {};
+  EXPECT_EQ(*slot, nullptr);  // empty until first mapped
+  auto payload = std::make_shared<const volren::BrickPayload>();
+  *slot = payload;
+  return payload;
+}
+
+TEST(BrickCache, HostPayloadLivesAsLongAsItsEntry) {
+  for (const CachePolicy policy : {CachePolicy::Lru, CachePolicy::Arc}) {
+    SCOPED_TRACE(to_string(policy));
+    BrickCache cache(1, 100, policy);
+    EXPECT_EQ(cache.host_payload(0, {1, 0}), nullptr);  // not resident
+    cache.lookup_or_admit(0, {1, 0}, 60);
+    const auto watch = attach_payload(cache, 0, {1, 0});
+    // A hit keeps the payload (Arc promotes the entry to T2).
+    EXPECT_TRUE(cache.lookup_or_admit(0, {1, 0}, 60));
+    EXPECT_EQ(*cache.host_payload(0, {1, 0}), watch.lock());
+    // Admitting a second brick evicts the first: its payload goes, and
+    // the ghost Arc keeps holds no slot.
+    cache.lookup_or_admit(0, {1, 1}, 60);
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(cache.host_payload(0, {1, 0}), nullptr);
+    // Readmitted, it starts empty again.
+    cache.lookup_or_admit(0, {1, 0}, 60);
+    ASSERT_NE(cache.host_payload(0, {1, 0}), nullptr);
+    EXPECT_EQ(*cache.host_payload(0, {1, 0}), nullptr);
+  }
+}
+
+TEST(BrickCache, InvalidateAndClearDropHostPayloads) {
+  BrickCache cache(2, 1000);
+  cache.lookup_or_admit(0, {1, 0}, 100);
+  cache.lookup_or_admit(1, {2, 0}, 100);
+  const auto invalidated = attach_payload(cache, 0, {1, 0});
+  const auto cleared = attach_payload(cache, 1, {2, 0});
+  cache.invalidate_volume(1);
+  EXPECT_TRUE(invalidated.expired());
+  EXPECT_FALSE(cleared.expired());
+  cache.clear();
+  EXPECT_TRUE(cleared.expired());
 }
 
 TEST(BrickCache, RejectsBadGpuIndex) {

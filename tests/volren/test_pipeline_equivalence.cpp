@@ -1,4 +1,5 @@
-// The central correctness property of the reproduction (DESIGN.md §6):
+// The central correctness property of the reproduction (the
+// sample-ownership rule in src/volren/raycast.hpp):
 // the bricked, partitioned, sorted, reduced MapReduce render must agree
 // with the single-pass reference ray caster for every brick
 // decomposition, GPU count and partition strategy.
