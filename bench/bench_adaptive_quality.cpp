@@ -61,6 +61,7 @@ int live_brick() { return bench::fast_mode() ? 16 : 32; }
 int live_frames() { return bench::fast_mode() ? 12 : 16; }
 int warmup_frames() { return 3; }
 int scan_frames() { return bench::fast_mode() ? 6 : 8; }
+// The SLO controller degrades at most this many levels (service cap).
 constexpr int kMaxDegradeLod = 2;
 
 volren::RenderOptions live_options() {
@@ -90,7 +91,6 @@ volren::RenderOptions scan_options(int gpus) {
 service::ServiceConfig base_config() {
   service::ServiceConfig config;
   config.enable_brick_cache = false;  // stage-per-frame; see header
-  config.max_degrade_lod = kMaxDegradeLod;
   return config;
 }
 

@@ -457,9 +457,9 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
     state.inner = dest.service->open_session(std::move(profile));
     ++dest.sessions_placed;
     if (crash)
-      ++sessions_repinned_;
+      ++counters_.sessions_repinned;
     else
-      ++migrations_;
+      ++counters_.migrations;
     if (state.client_callback)
       state.inner.on_frame(translate(move.session, state.client_callback));
     if (state.client_tile_callback)
@@ -497,8 +497,8 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
              source.service->cache()->warm_bricks_for_volume(*vid)) {
           if (brick.key.layout_id != frame.layout_sig) continue;
           const int gpu = brick.key.brick_id % config_.gpus_per_shard;
-          ++bricks_prepushed_;
-          bytes_prepushed_ += brick.stored_bytes;
+          ++counters_.bricks_prepushed;
+          counters_.bytes_prepushed += brick.stored_bytes;
           session_ready_s += dest.fabric->ideal_transfer_time(
               plan.from_shard, move.target, brick.stored_bytes);
           obs::TraceRecorder* trace = trace_;
@@ -548,9 +548,9 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
         request.arrival_s, ready_s[static_cast<std::size_t>(it->second)]);
     state.inner.submit(std::move(request));
     if (crash)
-      ++frames_reissued_;
+      ++counters_.frames_reissued;
     else
-      ++frames_migrated_;
+      ++counters_.frames_migrated;
   }
 }
 
@@ -562,7 +562,7 @@ void ServiceFrontend::failover(int crashed_shard) {
                  "failover(" << crashed_shard << ") on a live shard");
   if (crashed.failed_over) return;
   crashed.failed_over = true;
-  ++failovers_;
+  ++counters_.failovers;
   MigrationPlan plan;
   plan.trigger = MigrationPlan::Trigger::Failover;
   plan.from_shard = crashed_shard;
@@ -674,7 +674,7 @@ int ServiceFrontend::add_shard() {
                     {{"shard", std::to_string(index)},
                      {"farm_shards", std::to_string(num_shards())}});
   }
-  ++shards_added_;
+  ++counters_.shards_added;
   VRMR_INFO("frontend") << "scale up: shard " << index << " joined at t="
                         << join_s;
   return index;
@@ -709,7 +709,7 @@ void ServiceFrontend::drain_shard(int index) {
   shard.service->drain();
   shard.retired = true;
   shard.active_to_s = std::max(decision_s, shard.engine->now());
-  ++shards_drained_;
+  ++counters_.shards_drained;
   if (trace_ != nullptr) {
     trace_->instant(shard.engine->now(), trace_pid_base_ + index,
                     obs::kServiceTid, "scale.down", "scale",
@@ -773,7 +773,7 @@ int ServiceFrontend::rebalance_pass(double now_s) {
     // Target through pick_shard (warm affinity may beat the literal
     // coldest shard), with the hot source excluded.
     execute_migration(plan_voluntary(best_session, -1, now_s));
-    ++rebalance_migrations_;
+    ++counters_.rebalance_migrations;
     ++moved;
   }
   return moved;
@@ -902,7 +902,7 @@ void ServiceFrontend::set_trace(obs::TraceRecorder* recorder, int pid_base) {
 }
 
 FrontendStats ServiceFrontend::stats() const {
-  FrontendStats out;
+  FrontendStats out = counters_;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   for (int s = 0; s < num_shards(); ++s) {
@@ -922,16 +922,6 @@ FrontendStats ServiceFrontend::stats() const {
     misses += detail.service.cache.misses;
     out.shards.push_back(std::move(detail));
   }
-  out.failovers = failovers_;
-  out.sessions_repinned = sessions_repinned_;
-  out.frames_reissued = frames_reissued_;
-  out.bricks_prepushed = bricks_prepushed_;
-  out.bytes_prepushed = bytes_prepushed_;
-  out.migrations = migrations_;
-  out.frames_migrated = frames_migrated_;
-  out.rebalance_migrations = rebalance_migrations_;
-  out.shards_added = shards_added_;
-  out.shards_drained = shards_drained_;
   out.fps = out.makespan_s > 0.0 ? out.frames_total / out.makespan_s : 0.0;
   out.cache_hit_rate =
       hits + misses > 0

@@ -167,7 +167,7 @@ struct FrontendConfig {
   cluster::HardwareModel hw = cluster::HardwareModel::ncsa_accelerator_cluster();
   /// Per-shard RenderService configuration (policy, cache, ...).
   /// Adaptive quality flows through unchanged: each shard runs its own
-  /// SLO controller (service.interactive_slo_s / max_degrade_lod) and
+  /// SLO controller (service.interactive_slo_s) and
   /// per-session quality floors (SessionProfile::quality) ride the
   /// profile to whichever shard placement picks.
   ServiceConfig service;
@@ -434,17 +434,10 @@ class ServiceFrontend final : public SessionBackend {
   /// forwards the recorder to every shard for their own spans).
   obs::TraceRecorder* trace_ = nullptr;
   int trace_pid_base_ = 0;
-  // Control-plane accounting (aggregated into FrontendStats by stats()).
-  std::uint64_t failovers_ = 0;
-  std::uint64_t sessions_repinned_ = 0;
-  std::uint64_t frames_reissued_ = 0;
-  std::uint64_t bricks_prepushed_ = 0;
-  std::uint64_t bytes_prepushed_ = 0;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t frames_migrated_ = 0;
-  std::uint64_t rebalance_migrations_ = 0;
-  std::uint64_t shards_added_ = 0;
-  std::uint64_t shards_drained_ = 0;
+  /// Control-plane counters (failover, handoff, migration, elastic),
+  /// incremented in place; stats() copies them and adds the shard
+  /// aggregates.
+  FrontendStats counters_;
 };
 
 }  // namespace vrmr::service

@@ -29,6 +29,17 @@ constexpr std::int64_t kOccupancyMaxVoxels = std::int64_t{1} << 24;
 /// param_s: how long a lane is wedged before the failure is observed (a
 /// stuck read, a missed completion).
 constexpr double kFaultDetectS = 1e-3;
+/// Base lane hold-down after a failed map quantum: the lane that
+/// detected the failure sits out of the fill pass for
+/// kRetryBackoffS x 2^(attempt-1) before the chunk's retry can issue
+/// there (exponential backoff; other lanes are unaffected).
+constexpr double kRetryBackoffS = 200e-6;
+/// EWMA smoothing factor of the online cost-model calibration:
+/// scale <- (1-a)*scale + a*(observed/predicted) per completed frame.
+constexpr double kCalibrationAlpha = 0.25;
+/// Deepest pyramid level the SLO controller may degrade to (further
+/// clamped by the pyramid's actual depth).
+constexpr int kMaxDegradeLod = 2;
 
 /// Serve-order tie-break: smaller key wins, then smaller frame_id —
 /// global submission order, never session open order.
@@ -206,14 +217,16 @@ std::uint64_t RenderService::session_submit(int session, RenderRequest request) 
   // able to preempt at the next brick boundary even when no scheduler
   // event is otherwise due — e.g. during a batch frame's reduce tail
   // every GPU lane is idle and nothing would call pump() until that
-  // frame finishes. Hand the scheduler a fresh event at the current
-  // clock; pump() is idempotent, so bursts of submissions are fine.
-  if (draining_ && config_.pipeline == PipelineMode::Quantum) {
-    cluster_.engine().schedule_after(0.0, [this] {
-      if (draining_) pump();
-    });
-  }
+  // frame finishes.
+  wake_scheduler();
   return id;
+}
+
+void RenderService::wake_scheduler() {
+  if (!draining_ || config_.pipeline != PipelineMode::Quantum) return;
+  cluster_.engine().schedule_after(0.0, [this] {
+    if (draining_) pump();
+  });
 }
 
 void RenderService::session_on_frame(int session, FrameCallback callback) {
@@ -585,13 +598,12 @@ void RenderService::sample_gpu_busy() {
 
 void RenderService::calibrate(int session_index, const FrameRecord& record,
                               double raw_cost_s) {
-  const double alpha = config_.cost_calibration_alpha;
-  if (alpha <= 0.0 || raw_cost_s <= 0.0) return;
+  if (raw_cost_s <= 0.0) return;
   const double observed = record.service_s();
   if (observed <= 0.0) return;
   SessionState& session = *sessions_[static_cast<std::size_t>(session_index)];
-  session.cost_scale =
-      (1.0 - alpha) * session.cost_scale + alpha * (observed / raw_cost_s);
+  session.cost_scale = (1.0 - kCalibrationAlpha) * session.cost_scale +
+                       kCalibrationAlpha * (observed / raw_cost_s);
 }
 
 void RenderService::observe_completion(ActiveFrame& active) {
@@ -630,7 +642,7 @@ void RenderService::deliver_tile(ActiveFrame& active, int reducer) {
   SessionState& session =
       *sessions_[static_cast<std::size_t>(active.client_session)];
   session.tiles_delivered += 1;
-  ++tiles_total_;
+  ++counters_.tiles_total;
   window_at(now).tiles += 1;
   if (session.tile_callback) {
     TileRecord tile;
@@ -657,6 +669,44 @@ void RenderService::deliver_frame(int session_index, const FrameRecord& record) 
     const FrameCallback deliver = session.callback;
     deliver(record);
   }
+}
+
+void RenderService::complete_frame(ActiveFrame& active) {
+  volren::RenderResult result = active.frame->finish();
+  FrameRecord& record = active.record;
+  // The plan itself counts skipped stagings, so hit accounting is
+  // uniform whether or not a cache is wired in. Culled chunks (empty
+  // screen footprint or occupancy-empty) were never demanded from the
+  // cache, so they are neither hits nor misses.
+  record.cache_hits = result.stats.chunks_resident;
+  record.cache_misses = static_cast<std::uint64_t>(result.stats.num_chunks) -
+                        record.cache_hits - result.stats.chunks_culled;
+  record.finish_s = cluster_.engine().now();
+  record.stats = std::move(result.stats);
+  // The footprint path may have dropped deeper than the admission-time
+  // floor (quality < 1); the record reports the deepest level served.
+  record.lod = std::max(record.lod, active.frame->max_level());
+  counters_.bricks_occupancy_culled +=
+      static_cast<std::uint64_t>(active.frame->occupancy_culled());
+  if (active.pending.refines >= 0) ++counters_.refinements_served;
+  if (config_.keep_images) record.image = std::move(result.image);
+  window_at(record.finish_s).frames_finished += 1;
+  sample_gpu_busy();
+  observe_completion(active);
+
+  VRMR_DEBUG("service") << "session " << active.session << " frame "
+                        << record.frame_id << " latency=" << record.latency_s()
+                        << "s (wait=" << record.queue_wait_s()
+                        << "s) hits=" << record.cache_hits << "/"
+                        << (record.cache_hits + record.cache_misses)
+                        << " tiles=" << record.tiles;
+
+  calibrate(active.session, record, active.pending.submit_cost_s);
+  completed_.push_back(std::move(record));
+  deliver_frame(active.client_session, completed_.back());
+  // Strictly after the preview's delivery: the refinement's own
+  // on_frame can then never precede it (src/service/README.md).
+  maybe_enqueue_refinement(active);
 }
 
 RenderService::QualityState& RenderService::quality_state(const Pending& pending,
@@ -762,25 +812,23 @@ void RenderService::apply_adaptive_quality(ActiveFrame& active,
                                            const SessionState& session,
                                            volren::RenderOptions& options,
                                            volren::AdaptiveQuality* aq) {
-  if (!config_.enable_lod && !config_.enable_occupancy_culling) return;
   // The session's quality floor composes with the request's own knob.
   if (session.profile.quality < options.quality)
     options.quality = session.profile.quality;
 
-  const bool wants_lod =
-      config_.enable_lod && (options.max_lod > 0 || options.quality < 1.0f);
+  const bool wants_lod = options.max_lod > 0 || options.quality < 1.0f;
   // The SLO controller degrades only client Interactive frames: a
   // refinement re-degrading would loop forever, and Batch work has no
   // deadline to protect.
-  const bool slo_armed = config_.enable_lod && config_.interactive_slo_s > 0.0 &&
+  const bool slo_armed = config_.interactive_slo_s > 0.0 &&
                          active.priority == Priority::Interactive &&
-                         !active.pending.is_refinement;
+                         active.pending.refines < 0;
   if (!wants_lod && !slo_armed && !config_.enable_occupancy_culling) return;
 
   const std::uint64_t vid = register_volume(active.pending.request.volume).id;
   QualityState& qs = quality_state(active.pending, vid);
 
-  if (config_.enable_lod && (wants_lod || slo_armed)) {
+  if (wants_lod || slo_armed) {
     active.pyramid = qs.pyramid;
     aq->pyramid = qs.pyramid.get();
     int level = qs.pyramid->clamp(options.max_lod);
@@ -793,7 +841,7 @@ void RenderService::apply_adaptive_quality(ActiveFrame& active,
       const double budget =
           config_.interactive_slo_s - (now - active.record.arrival_s);
       const int deepest =
-          std::min(config_.max_degrade_lod, qs.pyramid->num_levels() - 1);
+          std::min(kMaxDegradeLod, qs.pyramid->num_levels() - 1);
       int chosen = level;
       while (chosen < deepest &&
              session.cost_scale * estimate_cost_s(active.pending, chosen) >
@@ -802,7 +850,7 @@ void RenderService::apply_adaptive_quality(ActiveFrame& active,
       }
       if (chosen > level) {
         active.degraded = true;
-        ++frames_degraded_;
+        ++counters_.frames_degraded;
         // Re-anchor the calibration baseline to what will actually be
         // served: completion compares observed time against
         // submit_cost_s, and judging a coarse serve against the
@@ -831,7 +879,7 @@ void RenderService::apply_adaptive_quality(ActiveFrame& active,
 }
 
 void RenderService::maybe_enqueue_refinement(ActiveFrame& active) {
-  if (!active.degraded || active.pending.is_refinement) return;
+  if (!active.degraded || active.pending.refines >= 0) return;
   const int client = active.client_session;
   SessionState& client_state = *sessions_[static_cast<std::size_t>(client)];
   int refine_index = client_state.refine_session;
@@ -863,9 +911,8 @@ void RenderService::maybe_enqueue_refinement(ActiveFrame& active) {
   refine.submit_dims = active.pending.submit_dims;
   refine.submit_floor_s = now;
   refine.refines = static_cast<std::int64_t>(active.pending.frame_id);
-  refine.is_refinement = true;
   refine.submit_cost_s = estimate_cost_s(refine);
-  ++refinements_enqueued_;
+  ++counters_.refinements_enqueued;
   if (trace_ != nullptr) {
     trace_->instant(now, trace_pid_, obs::kServiceTid, "refine_enqueue", "sched",
                     {{"frame", std::to_string(refine.frame_id)},
@@ -874,13 +921,7 @@ void RenderService::maybe_enqueue_refinement(ActiveFrame& active) {
   }
   sessions_[static_cast<std::size_t>(refine_index)]->queue.push_back(
       std::move(refine));
-  // Mid-drain enqueue needs a scheduler event exactly like a mid-drain
-  // client submit (see session_submit).
-  if (draining_ && config_.pipeline == PipelineMode::Quantum) {
-    cluster_.engine().schedule_after(0.0, [this] {
-      if (draining_) pump();
-    });
-  }
+  wake_scheduler();
 }
 
 std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
@@ -982,9 +1023,7 @@ void RenderService::serve_one(int session_index, double arrival_floor_s,
                               double predicted_cost_s) {
   auto active =
       make_active_frame(session_index, arrival_floor_s, predicted_cost_s);
-  auto& engine = cluster_.engine();
-  FrameRecord& record = active->record;
-  record.start_s = engine.now();
+  active->record.start_s = cluster_.engine().now();
   // Zero-delta sample: closes any idle gap since the last completion
   // so the frame's busy is not smeared back across it.
   sample_gpu_busy();
@@ -993,40 +1032,7 @@ void RenderService::serve_one(int session_index, double arrival_floor_s,
   // schedule — only preemption and prefetch are quantum-pipeline-only.
   active->frame->plan().on_tile_done([this, raw](int r) { deliver_tile(*raw, r); });
   active->frame->plan().run_to_completion();
-
-  volren::RenderResult result = active->frame->finish();
-  // The plan itself counts skipped stagings, so hit accounting is
-  // uniform whether or not a cache is wired in. Culled chunks (empty
-  // screen footprint or occupancy-empty) were never demanded from the
-  // cache, so they are neither hits nor misses.
-  record.cache_hits = result.stats.chunks_resident;
-  record.cache_misses = static_cast<std::uint64_t>(result.stats.num_chunks) -
-                        record.cache_hits - result.stats.chunks_culled;
-  record.finish_s = engine.now();
-  record.stats = std::move(result.stats);
-  // The footprint path may have dropped deeper than the admission-time
-  // floor (quality < 1); the record reports the deepest level served.
-  record.lod = std::max(record.lod, active->frame->max_level());
-  bricks_occupancy_culled_ +=
-      static_cast<std::uint64_t>(active->frame->occupancy_culled());
-  if (active->pending.is_refinement) ++refinements_served_;
-  if (config_.keep_images) record.image = std::move(result.image);
-  window_at(record.finish_s).frames_finished += 1;
-  sample_gpu_busy();
-  observe_completion(*active);
-
-  VRMR_DEBUG("service") << "session " << session_index << " frame "
-                        << record.frame_id << " latency=" << record.latency_s()
-                        << "s (wait=" << record.queue_wait_s()
-                        << "s) hits=" << record.cache_hits << "/"
-                        << (record.cache_hits + record.cache_misses);
-
-  calibrate(session_index, record, active->pending.submit_cost_s);
-  completed_.push_back(std::move(record));
-  deliver_frame(active->client_session, completed_.back());
-  // Strictly after the preview's delivery: the refinement's own
-  // on_frame can then never precede it (src/service/README.md).
-  maybe_enqueue_refinement(*active);
+  complete_frame(*active);
 }
 
 void RenderService::drain_monolithic(double arrival_floor_s) {
@@ -1122,7 +1128,7 @@ void RenderService::try_admit() {
     }
     if (pick < 0) break;
     if (batch_active) {
-      ++preemptions_;
+      ++counters_.preemptions;
       window_at(now).preemptions += 1;
       if (trace_ != nullptr) {
         trace_->instant(now, trace_pid_, obs::kServiceTid, "preempt", "sched",
@@ -1134,7 +1140,7 @@ void RenderService::try_admit() {
 }
 
 bool RenderService::try_prefetch(int gpu) {
-  if (!cache_ || !config_.enable_prefetch) return false;
+  if (!cache_) return false;
   bool any_active = false;
   for (const auto& active : active_) {
     if (!active->done) {
@@ -1220,8 +1226,8 @@ bool RenderService::try_prefetch(int gpu) {
           bool admitted = false;
           (void)cache_->prefetch(gpu, key, bytes, &admitted, logical);
           if (admitted) {
-            ++bricks_prefetched_;
-            bytes_prefetched_ += bytes;
+            ++counters_.bricks_prefetched;
+            counters_.bytes_prefetched += bytes;
           }
         }
         if (trace_ != nullptr) {
@@ -1310,62 +1316,21 @@ void RenderService::pump(bool try_admission) {
 
 void RenderService::frame_finished(ActiveFrame* active) {
   active->done = true;
-  if (crashed_) {
-    // The crash already snapshotted this frame for failover re-issue:
-    // discard the completion (no record, no delivery) so the client
-    // sees its on_frame exactly once — from the target shard.
-    if (!reap_scheduled_) {
-      reap_scheduled_ = true;
-      cluster_.engine().schedule_after(0.0, [this] {
-        reap_scheduled_ = false;
-        reap();
-      });
-    }
-    return;
-  }
-  volren::RenderResult result = active->frame->finish();
-  FrameRecord& record = active->record;
-  record.cache_hits = result.stats.chunks_resident;
-  record.cache_misses = static_cast<std::uint64_t>(result.stats.num_chunks) -
-                        record.cache_hits - result.stats.chunks_culled;
-  record.finish_s = cluster_.engine().now();
-  record.stats = std::move(result.stats);
-  // The footprint path may have dropped deeper than the admission-time
-  // floor (quality < 1); the record reports the deepest level served.
-  record.lod = std::max(record.lod, active->frame->max_level());
-  bricks_occupancy_culled_ +=
-      static_cast<std::uint64_t>(active->frame->occupancy_culled());
-  if (active->pending.is_refinement) ++refinements_served_;
-  if (config_.keep_images) record.image = std::move(result.image);
-  window_at(record.finish_s).frames_finished += 1;
-  sample_gpu_busy();
-  observe_completion(*active);
-
-  VRMR_DEBUG("service") << "session " << active->session << " frame "
-                        << record.frame_id << " latency=" << record.latency_s()
-                        << "s (wait=" << record.queue_wait_s()
-                        << "s) hits=" << record.cache_hits << "/"
-                        << (record.cache_hits + record.cache_misses)
-                        << " tiles=" << record.tiles;
-
-  calibrate(active->session, record, active->pending.submit_cost_s);
-  completed_.push_back(std::move(record));
-  deliver_frame(active->client_session, completed_.back());
-  // Strictly after the preview's delivery: the refinement's own
-  // on_frame can then never precede it (src/service/README.md).
-  maybe_enqueue_refinement(*active);
+  // After a crash the frame is already snapshotted for failover
+  // re-issue: discard the completion (no record, no delivery) so the
+  // client sees its on_frame exactly once — from the target shard.
+  if (!crashed_) complete_frame(*active);
   // Teardown and the next scheduling decision happen on a fresh engine
   // event: the finishing quantum's callback frames are still on this
   // plan's stack, so the plan cannot be destroyed (or its lanes
   // re-filled into a reentrant issue) here.
-  if (!reap_scheduled_) {
-    reap_scheduled_ = true;
-    cluster_.engine().schedule_after(0.0, [this] {
-      reap_scheduled_ = false;
-      if (draining_) pump();
-      else reap();
-    });
-  }
+  if (reap_scheduled_) return;
+  reap_scheduled_ = true;
+  cluster_.engine().schedule_after(0.0, [this] {
+    reap_scheduled_ = false;
+    if (draining_ && !crashed_) pump();
+    else reap();
+  });
 }
 
 void RenderService::reap() {
@@ -1452,8 +1417,8 @@ void RenderService::inject_fault(const fault::FaultEvent& event) {
           event.param_s > 0.0 ? event.param_s : kFaultDetectS;
       engine.schedule_at(at, [this, gpu, hold] {
         if (crashed_) return;
-        ++faults_injected_;
-        ++lane_stalls_;
+        ++counters_.faults_injected;
+        ++counters_.lane_stalls;
         if (trace_ != nullptr) {
           trace_->instant(cluster_.engine().now(), trace_pid_, gpu,
                           "fault.lane_stall", "fault",
@@ -1500,7 +1465,7 @@ mr::FaultHook RenderService::make_fault_hook() {
       if (pending.consumed || pending.time_s > now) continue;
       if (pending.gpu >= 0 && pending.gpu != gpu) continue;
       pending.consumed = true;
-      ++faults_injected_;
+      ++counters_.faults_injected;
       fault.fail = true;
       fault.detect_s = pending.detect_s;
       fault.kind = "disk_error";
@@ -1511,22 +1476,19 @@ mr::FaultHook RenderService::make_fault_hook() {
 }
 
 void RenderService::quantum_failed(int gpu, int chunk_index, int attempt) {
-  ++quanta_retried_;
+  ++counters_.quanta_retried;
   const double now = cluster_.engine().now();
   // Exponential lane backoff: the chunk retries on this lane no sooner
   // than base x 2^(attempt-1); the wake re-pumps when the hold expires
   // (the plan's lane_free fires first but finds the lane held).
-  double backoff_s = 0.0;
-  if (config_.retry_backoff_s > 0.0) {
-    backoff_s =
-        config_.retry_backoff_s *
-        static_cast<double>(std::uint64_t{1} << std::min(attempt - 1, 16));
-    auto& held_until = lane_retry_at_[static_cast<std::size_t>(gpu)];
-    held_until = std::max(held_until, now + backoff_s);
-    cluster_.engine().schedule_at(held_until, [this] {
-      if (draining_ && !crashed_) pump(/*try_admission=*/false);
-    });
-  }
+  const double backoff_s =
+      kRetryBackoffS *
+      static_cast<double>(std::uint64_t{1} << std::min(attempt - 1, 16));
+  auto& held_until = lane_retry_at_[static_cast<std::size_t>(gpu)];
+  held_until = std::max(held_until, now + backoff_s);
+  cluster_.engine().schedule_at(held_until, [this] {
+    if (draining_ && !crashed_) pump(/*try_admission=*/false);
+  });
   if (trace_ != nullptr) {
     trace_->instant(now, trace_pid_, obs::kServiceTid, "retry.quantum", "fault",
                     {{"gpu", std::to_string(gpu)},
@@ -1565,8 +1527,8 @@ int RenderService::dead_lanes() const {
 void RenderService::kill_lane(int gpu) {
   if (lane_dead(gpu)) return;  // idempotent (replayed plans)
   lane_dead_[static_cast<std::size_t>(gpu)] = 1;
-  ++lanes_dead_;
-  ++faults_injected_;
+  ++counters_.lanes_dead;
+  ++counters_.faults_injected;
   const double now = cluster_.engine().now();
   if (trace_ != nullptr) {
     trace_->instant(now, trace_pid_, gpu, "fault.lane_death", "fault",
@@ -1589,34 +1551,25 @@ void RenderService::kill_lane(int gpu) {
 void RenderService::crash() {
   if (crashed_) return;
   crashed_ = true;
-  ++faults_injected_;
+  ++counters_.faults_injected;
   const double now = cluster_.engine().now();
 
   // Snapshot every undelivered client frame: queued heads plus frames
   // in flight whose delivery this crash swallows. Internal refinement
-  // frames die with the shard (their previews were delivered).
+  // frames (queued only on internal sessions) die with the shard: their
+  // previews were delivered.
   unserved_.clear();
-  const auto snapshot = [this](int session_index, const Pending& pending) {
-    UnservedFrame lost;
-    lost.session = session_index;
-    lost.frame_id = pending.frame_id;
-    lost.request = pending.request;
-    lost.layout = pending.layout;
-    lost.layout_sig = pending.layout_sig;
-    unserved_.push_back(std::move(lost));
-  };
   for (int s = 0; s < num_sessions(); ++s) {
     SessionState& session = *sessions_[static_cast<std::size_t>(s)];
-    const bool internal = session.delegate >= 0;
-    for (const Pending& pending : session.queue) {
-      if (internal || pending.is_refinement) continue;
-      snapshot(s, pending);
+    if (session.delegate < 0) {
+      for (const Pending& pending : session.queue)
+        unserved_.push_back(unserved_frame(s, pending));
     }
     session.queue.clear();  // the work now lives in unserved_
   }
   for (const auto& active : active_) {
-    if (active->done || active->pending.is_refinement) continue;
-    snapshot(active->session, active->pending);
+    if (active->done || active->pending.refines >= 0) continue;
+    unserved_.push_back(unserved_frame(active->session, active->pending));
   }
   std::sort(unserved_.begin(), unserved_.end(),
             [](const UnservedFrame& a, const UnservedFrame& b) {
@@ -1643,6 +1596,17 @@ void RenderService::crash() {
                        << " undelivered frames";
 }
 
+RenderService::UnservedFrame RenderService::unserved_frame(int session_index,
+                                                           const Pending& pending) {
+  UnservedFrame frame;
+  frame.session = session_index;
+  frame.frame_id = pending.frame_id;
+  frame.request = pending.request;
+  frame.layout = pending.layout;
+  frame.layout_sig = pending.layout_sig;
+  return frame;
+}
+
 void RenderService::admit_pushed_brick(const volren::Volume* volume,
                                        int brick_id, std::uint64_t layout_sig,
                                        int gpu, std::uint64_t stored_bytes,
@@ -1651,10 +1615,8 @@ void RenderService::admit_pushed_brick(const volren::Volume* volume,
                  "pushed brick targets lane " << gpu << " out of range");
   if (!cache_) return;
   const std::uint64_t vid = register_volume(volume).id;
-  bool admitted = false;
   (void)cache_->prefetch(gpu, BrickKey{vid, brick_id, layout_sig},
-                         stored_bytes, &admitted, logical_bytes);
-  if (admitted) ++bricks_pushed_in_;
+                         stored_bytes, nullptr, logical_bytes);
 }
 
 std::vector<RenderService::UnservedFrame> RenderService::extract_session_frames(
@@ -1675,36 +1637,21 @@ std::vector<RenderService::UnservedFrame> RenderService::extract_session_frames(
                    "extract_session_frames at a non-frame-boundary: session "
                        << session << " has a frame in flight");
   }
+  // A client session's queue holds no refinements: those queue on its
+  // internal session, which stays behind.
   std::vector<UnservedFrame> out;
   out.reserve(state.queue.size());
-  std::deque<Pending> keep;  // refinements queue on the internal session,
-                             // but keep the filter symmetric with crash()
-  for (Pending& pending : state.queue) {
-    if (pending.is_refinement) {
-      keep.push_back(std::move(pending));
-      continue;
-    }
-    UnservedFrame moved;
-    moved.session = session;
-    moved.frame_id = pending.frame_id;
-    moved.request = pending.request;
-    moved.layout = pending.layout;
-    moved.layout_sig = pending.layout_sig;
-    out.push_back(std::move(moved));
-  }
-  state.queue.swap(keep);
+  for (const Pending& pending : state.queue)
+    out.push_back(unserved_frame(session, pending));
+  state.queue.clear();
   return out;
 }
 
-void RenderService::drain() { (void)drain_to(kInf); }
+void RenderService::drain() { (void)drain_until(kInf); }
 
 bool RenderService::drain_until(double horizon_s) {
   VRMR_CHECK_MSG(std::isfinite(horizon_s) || horizon_s == kInf,
                  "drain_until horizon must be finite or +inf");
-  return drain_to(horizon_s);
-}
-
-bool RenderService::drain_to(double horizon_s) {
   // A crashed shard serves nothing: the frontend re-points its sessions
   // and re-issues the snapshotted work on a sibling.
   if (crashed_) return false;
@@ -1767,24 +1714,11 @@ SessionStats RenderService::stats_for(int session_index) const {
 }
 
 ServiceStats RenderService::stats() const {
-  ServiceStats out;
+  ServiceStats out = counters_;
   out.frames_total = static_cast<int>(completed_.size());
   if (cache_) out.cache = cache_->stats();
   out.cache_hit_rate = out.cache.hit_rate();
-  out.tiles_total = tiles_total_;
-  out.preemptions = preemptions_;
-  out.bricks_prefetched = bricks_prefetched_;
-  out.bytes_prefetched = bytes_prefetched_;
-  out.frames_degraded = frames_degraded_;
-  out.refinements_enqueued = refinements_enqueued_;
-  out.refinements_served = refinements_served_;
-  out.bricks_occupancy_culled = bricks_occupancy_culled_;
   out.classifications_built = classifications_.classifications_built();
-  out.faults_injected = faults_injected_;
-  out.quanta_retried = quanta_retried_;
-  out.lane_stalls = lane_stalls_;
-  out.lanes_dead = lanes_dead_;
-  out.bricks_pushed_in = bricks_pushed_in_;
 
   if (config_.stats_window_s > 0.0) {
     // Fold GPU busy not yet attributed (work since the last frame

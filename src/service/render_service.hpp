@@ -147,21 +147,12 @@ struct ServiceConfig {
   /// twice-touched working set (bench_cache_policies gates the win).
   CachePolicy cache_policy = CachePolicy::Lru;
 
-  /// Stage predicted next bricks of orbit-hinted sessions on lanes the
-  /// current frame leaves idle (Quantum pipeline with cache only).
-  bool enable_prefetch = true;
-
   /// Non-zero overrides the DeviceProps-derived cache budget (tests).
   std::uint64_t cache_capacity_override = 0;
 
   /// Keep rendered images in the FrameRecords (memory-proportional;
   /// off for throughput benches).
   bool keep_images = false;
-
-  /// EWMA smoothing factor for the online cost-model calibration:
-  /// scale <- (1-a)*scale + a*(observed/predicted) per completed
-  /// frame. 0 disables calibration (pure a-priori model).
-  double cost_calibration_alpha = 0.25;
 
   // --- adaptive quality of service (src/lod) -------------------------------
   /// Interactive frame deadline: > 0 arms the SLO controller. At
@@ -172,15 +163,10 @@ struct ServiceConfig {
   /// the preview's completion on an internal Batch-priority session —
   /// delivered through the client's normal on_tile/on_frame callbacks
   /// with FrameRecord::refines_frame_id linking back to the preview.
-  /// 0 disables degradation entirely (the pre-SLO behaviour).
+  /// The controller degrades at most two pyramid levels (further
+  /// clamped by the pyramid's depth). 0 disables degradation entirely
+  /// (the pre-SLO behaviour).
   double interactive_slo_s = 0.0;
-  /// Deepest pyramid level the SLO controller may degrade to (further
-  /// clamped by the pyramid's actual depth).
-  int max_degrade_lod = 2;
-  /// Build per-volume LOD pyramids on demand (the SLO controller and
-  /// requests with max_lod/quality set need one). No effect on frames
-  /// that never ask for reduced quality.
-  bool enable_lod = true;
   /// Scan per-brick occupancy (min/max + cell thumbnail) and cull
   /// bricks the session's transfer function maps fully transparent
   /// before any staging. Output is bit-identical (lod/occupancy.hpp);
@@ -199,14 +185,6 @@ struct ServiceConfig {
   /// are lossless (rle) or modeled-size-only (zfp-style); see
   /// src/compress/README.md.
   compress::Codec compression = compress::Codec::None;
-
-  // --- fault tolerance (src/fault) -----------------------------------------
-  /// Base lane hold-down after a failed map quantum: the lane that
-  /// detected the failure is kept out of the scheduler's fill pass for
-  /// retry_backoff_s x 2^(attempt-1) of simulated time before the
-  /// chunk's retry can issue there (exponential backoff; other lanes
-  /// are unaffected). 0 retries immediately at the next pump.
-  double retry_backoff_s = 200e-6;
 };
 
 /// One bin of the windowed service counters: activity inside
@@ -290,14 +268,12 @@ struct ServiceStats {
   std::uint64_t bytes_hydrated = 0;
   /// Fault tolerance (src/fault): injected fault events consumed by
   /// this shard, map quanta retried after an injected failure, lanes
-  /// wedged by a stall fault, lanes fail-stopped (blacklisted for the
-  /// service's lifetime), and warm bricks accepted from a peer's
-  /// failover pre-push (admit_pushed_brick).
+  /// wedged by a stall fault, and lanes fail-stopped (blacklisted for
+  /// the service's lifetime).
   std::uint64_t faults_injected = 0;
   std::uint64_t quanta_retried = 0;
   std::uint64_t lane_stalls = 0;
   std::uint64_t lanes_dead = 0;
-  std::uint64_t bricks_pushed_in = 0;
   BrickCacheStats cache;
   /// Per-window counters (ServiceConfig::stats_window_s bins, sparse,
   /// ascending start_s). Lifetime aggregates above average preemption
@@ -536,7 +512,6 @@ class RenderService final : public SessionBackend {
     /// Refinement link: >= 0 means this frame re-renders the listed
     /// completed frame's view at full quality (internal sessions only).
     std::int64_t refines = -1;
-    bool is_refinement = false;
 
     /// Arrival as scheduling and telemetry see it: backdated arrivals
     /// floor at the submit clock (so FIFO order, the arrived-yet gate
@@ -643,6 +618,12 @@ class RenderService final : public SessionBackend {
   }
   void deliver_tile(ActiveFrame& active, int reducer);
   void deliver_frame(int session_index, const FrameRecord& record);
+  /// Completion shared by both pipelines, once the frame's plan has
+  /// finished: finalize the record (hits, finish_s, stats, served LOD,
+  /// image), count culls and served refinements, close the window and
+  /// busy sample, observe, calibrate, keep the record, deliver the
+  /// frame, then enqueue its refinement when it was degraded.
+  void complete_frame(ActiveFrame& active);
 
   // --- adaptive quality ----------------------------------------------------
   /// Lazily-built per-(volume id, layout signature) quality metadata.
@@ -688,6 +669,11 @@ class RenderService final : public SessionBackend {
   /// opened). Called strictly after deliver_frame, so a refinement's
   /// delivery can never precede its preview's.
   void maybe_enqueue_refinement(ActiveFrame& active);
+  /// Work queued mid-drain (a callback's submit, a refinement) needs a
+  /// scheduler event even when none is otherwise due: hand the Quantum
+  /// scheduler a pump at the current clock. pump() is idempotent, so
+  /// bursts are fine.
+  void wake_scheduler();
 
   // --- windowed stats -----------------------------------------------------
   /// The window bin containing simulated time `t` (no-op sink when
@@ -703,11 +689,6 @@ class RenderService final : public SessionBackend {
   /// serving bursts so busy never smears back across them (and no
   /// bins materialize for the gap).
   void sample_gpu_busy();
-
-  /// Shared body of drain() (horizon = +inf) and drain_until(): sets
-  /// the admission horizon for the duration of the call, returns true
-  /// when the queue fully drained.
-  bool drain_to(double horizon_s);
 
   // --- monolithic pipeline ------------------------------------------------
   void drain_monolithic(double arrival_floor_s);
@@ -748,6 +729,8 @@ class RenderService final : public SessionBackend {
   /// ShardCrash landing: stop the scheduler and snapshot undelivered
   /// client work for the frontend's failover.
   void crash();
+  /// What a sibling shard needs to re-submit `pending`.
+  static UnservedFrame unserved_frame(int session_index, const Pending& pending);
   /// Every non-dead lane except `excluding` (redistribution targets).
   std::vector<int> surviving_lanes(int excluding) const;
   bool lane_dead(int gpu) const {
@@ -809,25 +792,15 @@ class RenderService final : public SessionBackend {
   std::vector<double> lane_retry_at_;     // backoff hold-down per lane
   bool crashed_ = false;
   std::vector<UnservedFrame> unserved_;   // snapshot taken at crash()
-  std::uint64_t faults_injected_ = 0;
-  std::uint64_t quanta_retried_ = 0;
-  std::uint64_t lane_stalls_ = 0;
-  std::uint64_t lanes_dead_ = 0;
-  std::uint64_t bricks_pushed_in_ = 0;
 
-  // Streaming / preemption / prefetch telemetry.
-  std::uint64_t tiles_total_ = 0;
-  std::uint64_t preemptions_ = 0;
-  std::uint64_t bricks_prefetched_ = 0;
-  std::uint64_t bytes_prefetched_ = 0;
-
-  // Adaptive-quality state and telemetry.
+  // Adaptive-quality state.
   std::map<std::pair<std::uint64_t, std::uint64_t>, QualityState> quality_;
   lod::ClassificationCache classifications_;
-  std::uint64_t frames_degraded_ = 0;
-  std::uint64_t refinements_enqueued_ = 0;
-  std::uint64_t refinements_served_ = 0;
-  std::uint64_t bricks_occupancy_culled_ = 0;
+
+  /// The service's counters (tiles, preemptions, prefetch, adaptive
+  /// quality, faults), incremented in place; stats() copies them and
+  /// fills in every derived field.
+  ServiceStats counters_;
 
   // Peer hydration: frontend-installed miss interceptor (null = none).
   HydrationSource hydration_;

@@ -53,9 +53,10 @@ inline const char* to_string(Priority priority) {
 }
 
 /// Camera-trajectory hint: the session promises a turntable orbit of
-/// `frames_per_orbit` frames spaced `frame_interval_s` apart. Unused by
-/// scheduling today; declared here so prefetch (ROADMAP) can warm the
-/// next frame's bricks while the current frame reduces.
+/// `frames_per_orbit` frames spaced `frame_interval_s` apart. The hint's
+/// presence is the prefetch switch: lanes a serving frame leaves idle
+/// stage the next queued frame's bricks of hinted sessions only. The
+/// two fields themselves are not read.
 struct OrbitHint {
   int frames_per_orbit = 0;
   double frame_interval_s = 0.0;
@@ -159,7 +160,7 @@ struct SessionStats {
   std::uint64_t tiles_delivered = 0;
   /// Online cost-model calibration factor: EWMA of observed service
   /// time over the a-priori estimate (1.0 until the first frame
-  /// completes; see ServiceConfig::cost_calibration_alpha).
+  /// completes; smoothing factor 0.25 per completed frame).
   double cost_scale = 1.0;
 
   double cache_hit_rate() const {

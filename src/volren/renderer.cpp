@@ -39,32 +39,10 @@ BrickLayout choose_layout(const Volume& volume, const RenderOptions& options,
 
 RenderResult render_mapreduce(cluster::Cluster& cluster, const Volume& volume,
                               const RenderOptions& options) {
-  return render_mapreduce(cluster, volume, options, mr::StagingHook{});
-}
-
-RenderResult render_mapreduce(cluster::Cluster& cluster, const Volume& volume,
-                              const RenderOptions& options,
-                              mr::StagingHook staging_hook) {
   const BrickLayout layout = choose_layout(volume, options, cluster.total_gpus());
-  return render_mapreduce(cluster, volume, options, std::move(staging_hook),
-                          layout);
-}
-
-RenderResult render_mapreduce(cluster::Cluster& cluster, const Volume& volume,
-                              const RenderOptions& options,
-                              mr::StagingHook staging_hook,
-                              const BrickLayout& layout) {
-  auto frame = plan_frame(cluster, volume, options, std::move(staging_hook), layout);
+  auto frame = plan_frame(cluster, volume, options, mr::StagingHook{}, layout);
   frame->plan().run_to_completion();
   return frame->finish();
-}
-
-std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume& volume,
-                                         const RenderOptions& options,
-                                         mr::StagingHook staging_hook,
-                                         const BrickLayout& layout) {
-  return plan_frame(cluster, volume, options, std::move(staging_hook), layout,
-                    AdaptiveQuality{});
 }
 
 std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume& volume,

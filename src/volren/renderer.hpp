@@ -128,23 +128,6 @@ BrickLayout choose_layout(const Volume& volume, const RenderOptions& options,
 RenderResult render_mapreduce(cluster::Cluster& cluster, const Volume& volume,
                               const RenderOptions& options);
 
-/// As above, with a chunk-residency hook (see mr::StagingHook): bricks
-/// the hook reports GPU-resident skip disk + H2D staging. Used by the
-/// render service's per-GPU brick cache.
-RenderResult render_mapreduce(cluster::Cluster& cluster, const Volume& volume,
-                              const RenderOptions& options,
-                              mr::StagingHook staging_hook);
-
-/// As above, with a precomputed brick decomposition — callers that
-/// already built the layout (the service memoizes it at submit) skip
-/// the per-frame rebuild. `layout` must equal choose_layout(volume,
-/// options, cluster.total_gpus()) or residency keys and staging
-/// disagree.
-RenderResult render_mapreduce(cluster::Cluster& cluster, const Volume& volume,
-                              const RenderOptions& options,
-                              mr::StagingHook staging_hook,
-                              const BrickLayout& layout);
-
 /// Optional adaptive-quality inputs for plan_frame. Both pointers are
 /// borrowed for the duration of the call only (levels referenced by
 /// planned chunks must outlive the frame, which the pyramid's owner —
@@ -242,23 +225,17 @@ class PlannedFrame {
 };
 
 /// Build a PlannedFrame for (volume, options) on the cluster. `layout`
-/// must equal choose_layout(volume, options, cluster.total_gpus());
-/// the hook semantics match render_mapreduce. The volume must outlive
-/// the returned frame.
-std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume& volume,
-                                         const RenderOptions& options,
-                                         mr::StagingHook staging_hook,
-                                         const BrickLayout& layout);
-
-/// As above with adaptive-quality inputs: per-brick pyramid level
-/// selection (options.max_lod / options.quality against aq.pyramid) and
-/// pre-staging occupancy culling (aq.classification). With a
-/// default-constructed AdaptiveQuality this is exactly the 5-arg
-/// overload — bit-identical planning.
+/// must equal choose_layout(volume, options, cluster.total_gpus()).
+/// Bricks `staging_hook` reports GPU-resident skip disk + H2D staging
+/// (see mr::StagingHook). `aq` adds per-brick pyramid level selection
+/// (options.max_lod / options.quality against aq.pyramid), pre-staging
+/// occupancy culling (aq.classification), compression and the frame's
+/// hooks; the default plans every brick at base resolution. The volume
+/// must outlive the returned frame.
 std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume& volume,
                                          const RenderOptions& options,
                                          mr::StagingHook staging_hook,
                                          const BrickLayout& layout,
-                                         const AdaptiveQuality& aq);
+                                         const AdaptiveQuality& aq = {});
 
 }  // namespace vrmr::volren

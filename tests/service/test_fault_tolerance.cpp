@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "fault/fault_plan.hpp"
+#include "obs/trace.hpp"
 #include "service/frontend.hpp"
 #include "service/render_service.hpp"
 #include "sim/engine.hpp"
@@ -101,15 +103,17 @@ TEST(FaultTolerance, DiskReadErrorRetriesAndMatchesCleanPixels) {
 
 TEST(FaultTolerance, RepeatedDiskErrorsBackOffExponentially) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
-  ServiceConfig config = image_keeping_config();
-  config.retry_backoff_s = 1e-3;
-  Harness h(2, config);
-  // Three consecutive failures of the same lane's quanta: each retry
-  // waits retry_backoff_s x 2^(attempt-1) before the lane refills.
+  Harness h(2, image_keeping_config());
+  obs::TraceRecorder recorder;
+  h.service->set_trace(&recorder);
+  // Three failures aimed at lane 0: the chunk it issues first fails at
+  // attempts 1, 2 and 3, and each retry holds the lane down for
+  // 200 us x 2^(attempt-1) before it refills.
   for (int i = 0; i < 3; ++i) {
     fault::FaultEvent fault;
     fault.kind = fault::FaultKind::DiskReadError;
     fault.time_s = 0.0;
+    fault.target = 0;
     h.service->inject_fault(fault);
   }
   Session s = h.service->open_session("stubborn");
@@ -118,8 +122,34 @@ TEST(FaultTolerance, RepeatedDiskErrorsBackOffExponentially) {
   const ServiceStats stats = h.service->stats();
   EXPECT_EQ(stats.frames_total, 1);
   EXPECT_EQ(stats.faults_injected, 3u);
-  EXPECT_GE(stats.quanta_retried, 3u);
+  EXPECT_EQ(stats.quanta_retried, 3u);
   expect_identical_images(stats.frames, clean_run(volume, 1));
+
+  auto arg = [](const obs::TraceEvent& event, const std::string& key) {
+    for (const auto& [k, v] : event.args)
+      if (k == key) return v;
+    ADD_FAILURE() << event.name << " has no arg " << key;
+    return std::string();
+  };
+  std::vector<obs::TraceEvent> retries;
+  for (const obs::TraceEvent& event : recorder.events())
+    if (event.name == "retry.quantum") retries.push_back(event);
+  ASSERT_EQ(retries.size(), 3u);
+  for (std::size_t i = 0; i < retries.size(); ++i) {
+    const obs::TraceEvent& retry = retries[i];
+    EXPECT_EQ(arg(retry, "gpu"), "0");
+    EXPECT_EQ(arg(retry, "chunk"), arg(retries[0], "chunk"));
+    EXPECT_EQ(arg(retry, "attempt"), std::to_string(i + 1));
+    const double backoff = 200e-6 * static_cast<double>(1u << i);
+    EXPECT_NEAR(std::stod(arg(retry, "backoff_s")), backoff, 1e-9)
+        << "attempt " << i + 1;
+    // Before this attempt failed, the lane sat out the previous
+    // failure's whole hold-down, then the 1 ms detection timeout.
+    if (i > 0) {
+      EXPECT_GE(retry.ts_s - retries[i - 1].ts_s, 1e-3 + backoff / 2 - 1e-12)
+          << "attempt " << i + 1;
+    }
+  }
 }
 
 TEST(FaultTolerance, LaneStallDelaysButLosesNothing) {
