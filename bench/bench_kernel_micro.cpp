@@ -110,7 +110,9 @@ void BM_GridLaunchOverhead(benchmark::State& state) {
   // dispatch cost of the CUDA-style launch machinery.
   auto& dev = bench_device();
   for (auto _ : state) {
-    dev.launch_2d(Int3{32, 32, 1}, Int3{16, 16, 1}, [](const gpusim::ThreadCtx&) {});
+    dev.launch_2d(Int3{32, 32, 1}, Int3{16, 16, 1}, [](const gpusim::BlockCtx& block) {
+      block.for_each_thread([](const gpusim::ThreadCtx& ctx) { benchmark::DoNotOptimize(ctx); });
+    });
   }
   state.SetItemsProcessed(32 * 32 * 256 * state.iterations());
 }

@@ -65,33 +65,35 @@ class MipMapper final : public mr::Mapper {
     const Vec3 origin_f = to_vec3(brick.padded_origin);
     std::atomic<std::uint64_t> samples{0};
 
-    device.launch_2d(grid, block, [&](const gpusim::ThreadCtx& ctx) {
-      const int px = rect.x0 + ctx.global_x();
-      const int py = rect.y0 + ctx.global_y();
-      const size_t slot = static_cast<size_t>(ctx.global_y()) * row + ctx.global_x();
-      if (px >= rect.x1 || py >= rect.y1) return;
-      const Ray ray = camera.pixel_ray(px, py);
-      float v0, v1, te, tx;
-      if (!volume_box.intersect(ray, 0.0f, std::numeric_limits<float>::max(), &v0, &v1))
-        return;
-      if (!brick.world_box.intersect(ray, v0, v1, &te, &tx)) return;
+    device.launch_2d(grid, block, [&](const gpusim::BlockCtx& blk) {
+      blk.for_each_thread([&](const gpusim::ThreadCtx& ctx) {
+        const int px = rect.x0 + ctx.global_x();
+        const int py = rect.y0 + ctx.global_y();
+        const size_t slot = static_cast<size_t>(ctx.global_y()) * row + ctx.global_x();
+        if (px >= rect.x1 || py >= rect.y1) return;
+        const Ray ray = camera.pixel_ray(px, py);
+        float v0, v1, te, tx;
+        if (!volume_box.intersect(ray, 0.0f, std::numeric_limits<float>::max(), &v0, &v1))
+          return;
+        if (!brick.world_box.intersect(ray, v0, v1, &te, &tx)) return;
 
-      float best = 0.0f;
-      float best_t = te;
-      std::uint64_t n = 0;
-      for (float t = te + 0.5f * dt; t < tx; t += dt, ++n) {
-        const Vec3 gv = (ray.at(t) / extent) * dims_f;
-        const float s = texture.sample(gv - origin_f);
-        if (s > best) {
-          best = s;
-          best_t = t;
+        float best = 0.0f;
+        float best_t = te;
+        std::uint64_t n = 0;
+        for (float t = te + 0.5f * dt; t < tx; t += dt, ++n) {
+          const Vec3 gv = (ray.at(t) / extent) * dims_f;
+          const float s = texture.sample(gv - origin_f);
+          if (s > best) {
+            best = s;
+            best_t = t;
+          }
         }
-      }
-      samples.fetch_add(n, std::memory_order_relaxed);
-      if (best > 0.0f) {
-        keys[slot] = static_cast<std::uint32_t>(py) * camera.width() + px;
-        values[slot] = MipValue{best, best_t};
-      }
+        samples.fetch_add(n, std::memory_order_relaxed);
+        if (best > 0.0f) {
+          keys[slot] = static_cast<std::uint32_t>(py) * camera.width() + px;
+          values[slot] = MipValue{best, best_t};
+        }
+      });
     });
 
     out.append_bulk(keys, values.data());

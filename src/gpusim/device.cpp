@@ -47,7 +47,7 @@ void Device::free_bytes(std::uint64_t bytes) {
 }
 
 std::uint64_t Device::launch_2d(Int3 grid, Int3 block,
-                                const std::function<void(const ThreadCtx&)>& kernel) {
+                                const std::function<void(const BlockCtx&)>& kernel) {
   VRMR_CHECK_MSG(grid.x > 0 && grid.y > 0, "empty grid " << grid);
   VRMR_CHECK_MSG(block.x > 0 && block.y > 0, "empty block " << block);
   VRMR_CHECK_MSG(static_cast<std::int64_t>(block.x) * block.y <= 1024,
@@ -60,16 +60,8 @@ std::uint64_t Device::launch_2d(Int3 grid, Int3 block,
   pool_->parallel_for(
       0, num_blocks,
       [&](std::int64_t b) {
-        ThreadCtx ctx;
-        ctx.block_idx = Int3{static_cast<int>(b % grid.x), static_cast<int>(b / grid.x), 0};
-        ctx.block_dim = block;
-        ctx.grid_dim = grid;
-        for (int ty = 0; ty < block.y; ++ty) {
-          for (int tx = 0; tx < block.x; ++tx) {
-            ctx.thread_idx = Int3{tx, ty, 0};
-            kernel(ctx);
-          }
-        }
+        kernel(BlockCtx{Int3{static_cast<int>(b % grid.x), static_cast<int>(b / grid.x), 0},
+                        block, grid});
       },
       /*grain=*/1);
 

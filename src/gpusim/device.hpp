@@ -8,12 +8,15 @@
 // What is modeled: execution *time*, charged by the DES layer using
 // DeviceProps::kernel_time.
 //
-// Kernels are C++ callables invoked once per thread with a ThreadCtx
-// giving blockIdx/threadIdx/blockDim, exactly mirroring how the paper's
-// CUDA ray caster addresses its 16×16 blocks over the brick's screen
-// footprint. Blocks are distributed over the host thread pool; threads
-// within a block run sequentially (kernels in this codebase do not use
-// intra-block synchronization).
+// Kernels are C++ callables invoked once per block with a BlockCtx
+// giving blockIdx/blockDim; the kernel runs the block's threads itself,
+// one ThreadCtx (threadIdx) at a time through for_each_thread, or as
+// SIMD packets of adjacent threads the way a warp runs them in lock-step
+// (the ray caster's 4-lane packets, volren/raycast.cpp). This mirrors
+// how the paper's CUDA ray caster addresses its 16×16 blocks over the
+// brick's screen footprint. Blocks are distributed over the host thread
+// pool; a block's threads run on one worker (kernels in this codebase
+// do not use intra-block synchronization).
 
 #include <cstdint>
 #include <functional>
@@ -78,6 +81,26 @@ struct ThreadCtx {
   int global_y() const { return block_idx.y * block_dim.y + thread_idx.y; }
 };
 
+/// Per-block kernel context (CUDA blockIdx/blockDim analogue).
+struct BlockCtx {
+  Int3 block_idx;
+  Int3 block_dim;
+  Int3 grid_dim;
+
+  ThreadCtx thread(int tx, int ty) const {
+    return ThreadCtx{block_idx, Int3{tx, ty, 0}, block_dim, grid_dim};
+  }
+
+  /// Runs `fn(const ThreadCtx&)` for every thread of the block, x
+  /// fastest.
+  template <typename Fn>
+  void for_each_thread(Fn&& fn) const {
+    for (int ty = 0; ty < block_dim.y; ++ty) {
+      for (int tx = 0; tx < block_dim.x; ++tx) fn(thread(tx, ty));
+    }
+  }
+};
+
 class Device {
  public:
   Device(int id, DeviceProps props, ThreadPool* pool = nullptr)
@@ -102,11 +125,12 @@ class Device {
 
   // --- execution ---------------------------------------------------------
 
-  /// Launch a 2-D grid of 2-D blocks; `kernel` is invoked for every
-  /// thread. Blocking, like a CUDA launch followed by
-  /// cudaDeviceSynchronize. Returns the number of threads launched.
+  /// Launch a 2-D grid of 2-D blocks; `kernel` is invoked once for
+  /// every block and runs that block's threads. Blocking, like a CUDA
+  /// launch followed by cudaDeviceSynchronize. Returns the number of
+  /// threads launched.
   std::uint64_t launch_2d(Int3 grid, Int3 block,
-                          const std::function<void(const ThreadCtx&)>& kernel);
+                          const std::function<void(const BlockCtx&)>& kernel);
 
   std::uint64_t kernels_launched() const { return kernels_launched_; }
 

@@ -20,6 +20,7 @@
 
 #include "gpusim/device.hpp"
 #include "util/check.hpp"
+#include "util/simd.hpp"
 #include "util/vec.hpp"
 
 namespace vrmr::gpusim {
@@ -67,49 +68,90 @@ class Texture3D {
     const float fx = p.x - 0.5f;
     const float fy = p.y - 0.5f;
     const float fz = p.z - 0.5f;
-    const int x0 = static_cast<int>(std::floor(fx));
-    const int y0 = static_cast<int>(std::floor(fy));
-    const int z0 = static_cast<int>(std::floor(fz));
+    const int x0 = floor_to_int(fx);
+    const int y0 = floor_to_int(fy);
+    const int z0 = floor_to_int(fz);
     const float tx = fx - static_cast<float>(x0);
     const float ty = fy - static_cast<float>(y0);
     const float tz = fz - static_cast<float>(z0);
-
-    float c000, c100, c010, c110, c001, c101, c011, c111;
-    if (x0 >= 0 && y0 >= 0 && z0 >= 0 && x0 + 1 < dims_.x && y0 + 1 < dims_.y &&
-        z0 + 1 < dims_.z) {
-      // All eight texels are inside: read them without clamping.
-      const size_t row = static_cast<size_t>(dims_.x);
-      const size_t slice = row * static_cast<size_t>(dims_.y);
-      const float* c = texels_ + (static_cast<size_t>(z0) * dims_.y + y0) * row + x0;
-      c000 = c[0];
-      c100 = c[1];
-      c010 = c[row];
-      c110 = c[row + 1];
-      c001 = c[slice];
-      c101 = c[slice + 1];
-      c011 = c[slice + row];
-      c111 = c[slice + row + 1];
-    } else {
-      c000 = fetch(x0, y0, z0);
-      c100 = fetch(x0 + 1, y0, z0);
-      c010 = fetch(x0, y0 + 1, z0);
-      c110 = fetch(x0 + 1, y0 + 1, z0);
-      c001 = fetch(x0, y0, z0 + 1);
-      c101 = fetch(x0 + 1, y0, z0 + 1);
-      c011 = fetch(x0, y0 + 1, z0 + 1);
-      c111 = fetch(x0 + 1, y0 + 1, z0 + 1);
-    }
-
-    const float c00 = lerpf(c000, c100, tx);
-    const float c10 = lerpf(c010, c110, tx);
-    const float c01 = lerpf(c001, c101, tx);
-    const float c11 = lerpf(c011, c111, tx);
+    float c[8];
+    corners(x0, y0, z0, c);
+    const float c00 = lerpf(c[0], c[1], tx);
+    const float c10 = lerpf(c[2], c[3], tx);
+    const float c01 = lerpf(c[4], c[5], tx);
+    const float c11 = lerpf(c[6], c[7], tx);
     const float c0 = lerpf(c00, c10, ty);
     const float c1 = lerpf(c01, c11, ty);
     return lerpf(c0, c1, tz);
   }
 
+  /// sample() at four points at once (a simulated warp's texture
+  /// fetches), lane for lane the same IEEE operations. Only the lanes
+  /// set in `lanes` (bit i = lane i) read texels; the others' results
+  /// are unspecified.
+  simd::F4 sample(const simd::F4x3& p, int lanes) const {
+    using simd::F4;
+    const F4 half(0.5f);
+    const F4 fx = p.x - half;
+    const F4 fy = p.y - half;
+    const F4 fz = p.z - half;
+    const simd::I4 x0 = simd::floor_to_int(fx);
+    const simd::I4 y0 = simd::floor_to_int(fy);
+    const simd::I4 z0 = simd::floor_to_int(fz);
+    alignas(16) float t[4];
+    (fx - simd::to_float(x0)).store(t);
+    alignas(16) int ix[4], iy[4], iz[4];
+    x0.store(ix);
+    y0.store(iy);
+    z0.store(iz);
+    // Per lane, the x-lerp of the four x-pairs: [c00, c10, c01, c11].
+    F4 e[4];
+    for (int lane = 0; lane < 4; ++lane) {
+      if ((lanes >> lane & 1) == 0) continue;
+      float c[8];
+      corners(ix[lane], iy[lane], iz[lane], c);
+      const F4 a(c[0], c[2], c[4], c[6]);
+      const F4 b(c[1], c[3], c[5], c[7]);
+      e[lane] = a + (b - a) * F4(t[lane]);
+    }
+    _MM_TRANSPOSE4_PS(e[0].v, e[1].v, e[2].v, e[3].v);
+    const F4 ty = fy - simd::to_float(y0);
+    const F4 tz = fz - simd::to_float(z0);
+    const F4 c0 = e[0] + (e[1] - e[0]) * ty;
+    const F4 c1 = e[2] + (e[3] - e[2]) * ty;
+    return c0 + (c1 - c0) * tz;
+  }
+
  private:
+  /// The eight texels (x0 + dx, y0 + dy, z0 + dz), dx, dy, dz in {0, 1},
+  /// with clamp addressing, as c[4 * dz + 2 * dy + dx].
+  void corners(int x0, int y0, int z0, float c[8]) const {
+    const size_t row = static_cast<size_t>(dims_.x);
+    const size_t slice = row * static_cast<size_t>(dims_.y);
+    if (x0 >= 0 && y0 >= 0 && z0 >= 0 && x0 + 1 < dims_.x && y0 + 1 < dims_.y &&
+        z0 + 1 < dims_.z) {
+      // All eight texels are inside: read them without clamping.
+      const float* t = texels_ + static_cast<size_t>(z0) * slice + y0 * row + x0;
+      c[0] = t[0];
+      c[1] = t[1];
+      c[2] = t[row];
+      c[3] = t[row + 1];
+      c[4] = t[slice];
+      c[5] = t[slice + 1];
+      c[6] = t[slice + row];
+      c[7] = t[slice + row + 1];
+      return;
+    }
+    // Clamp each axis's two indices once.
+    const size_t x[2] = {static_cast<size_t>(std::clamp(x0, 0, dims_.x - 1)),
+                         static_cast<size_t>(std::clamp(x0 + 1, 0, dims_.x - 1))};
+    const size_t y[2] = {static_cast<size_t>(std::clamp(y0, 0, dims_.y - 1)) * row,
+                         static_cast<size_t>(std::clamp(y0 + 1, 0, dims_.y - 1)) * row};
+    const size_t z[2] = {static_cast<size_t>(std::clamp(z0, 0, dims_.z - 1)) * slice,
+                         static_cast<size_t>(std::clamp(z0 + 1, 0, dims_.z - 1)) * slice};
+    for (int i = 0; i < 8; ++i) c[i] = texels_[z[i >> 2] + y[i >> 1 & 1] + x[i & 1]];
+  }
+
   Int3 dims_;
   DeviceAllocation vram_;
   std::shared_ptr<const std::vector<float>> data_;
@@ -130,11 +172,35 @@ class Texture1D {
   Vec4 sample(float t) const {
     VRMR_DCHECK(!data_.empty());
     const float x = clampf(t, 0.0f, 1.0f) * static_cast<float>(data_.size()) - 0.5f;
-    const int i0 = static_cast<int>(std::floor(x));
+    const int i0 = floor_to_int(x);
     const float frac = x - static_cast<float>(i0);
     const int lo = std::clamp(i0, 0, static_cast<int>(data_.size()) - 1);
     const int hi = std::clamp(i0 + 1, 0, static_cast<int>(data_.size()) - 1);
     return lerp(data_[static_cast<size_t>(lo)], data_[static_cast<size_t>(hi)], frac);
+  }
+
+  /// sample() for four lookups at once, lane for lane the same IEEE
+  /// operations. Only the lanes set in `lanes` read entries; the others
+  /// return zeros. Lane i of the result's x, y, z, w is lookup i's RGBA.
+  simd::F4x4 sample(simd::F4 t, int lanes) const {
+    using simd::F4;
+    const int last = static_cast<int>(data_.size()) - 1;
+    const F4 x = simd::clamp(t, F4(0.0f), F4(1.0f)) * F4(static_cast<float>(data_.size())) -
+                 F4(0.5f);
+    const simd::I4 i0 = simd::floor_to_int(x);
+    alignas(16) float frac[4];
+    (x - simd::to_float(i0)).store(frac);
+    alignas(16) int i[4];
+    i0.store(i);
+    F4 e[4];  // lane i's RGBA (the lerp of Vec4s), then transposed
+    for (int lane = 0; lane < 4; ++lane) {
+      if ((lanes >> lane & 1) == 0) continue;
+      const F4 lo = F4::load(&data_[static_cast<size_t>(std::clamp(i[lane], 0, last))].x);
+      const F4 hi = F4::load(&data_[static_cast<size_t>(std::clamp(i[lane] + 1, 0, last))].x);
+      e[lane] = lo + (hi - lo) * F4(frac[lane]);
+    }
+    _MM_TRANSPOSE4_PS(e[0].v, e[1].v, e[2].v, e[3].v);
+    return {e[0], e[1], e[2], e[3]};
   }
 
  private:

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "util/simd.hpp"
 #include "util/vec.hpp"
 
 namespace vrmr {
@@ -77,6 +78,40 @@ struct Aabb {
     if (t_enter) *t_enter = t0;
     if (t_exit) *t_exit = t1;
     return true;
+  }
+
+  /// intersect() for four rays from one `origin`, lane i with direction
+  /// dir[i], each lane computed with the same IEEE operations (the
+  /// swap, max and min keep std::swap/max/min's operand order; see
+  /// util/simd.hpp). Returns the lanes that hit (bit i = lane i);
+  /// *t_enter and *t_exit hold their overlaps, other lanes' values are
+  /// unspecified.
+  int intersect(Vec3 origin, const simd::F4x3& dir, simd::F4 t_min, simd::F4 t_max,
+                simd::F4* t_enter, simd::F4* t_exit) const {
+    using simd::F4;
+    const F4 dirs[3] = {dir.x, dir.y, dir.z};
+    F4 t0 = t_min;
+    F4 t1 = t_max;
+    F4 miss;
+    for (int axis = 0; axis < 3; ++axis) {
+      const float o = origin[axis];
+      const F4 d = dirs[axis];
+      // Parallel lanes miss if the origin is outside the slab and keep
+      // t0, t1 otherwise.
+      const F4 parallel = d == F4(0.0f);
+      if (o < lo[axis] || o > hi[axis]) miss = miss | parallel;
+      const F4 inv = F4(1.0f) / d;
+      const F4 tn = F4(lo[axis] - o) * inv;
+      const F4 tf = F4(hi[axis] - o) * inv;
+      const F4 near = simd::min(tf, tn);  // tn > tf ? tf : tn
+      const F4 far = simd::max(tn, tf);   // tn > tf ? tn : tf
+      t0 = simd::select(parallel, t0, simd::max(near, t0));
+      t1 = simd::select(parallel, t1, simd::min(far, t1));
+      miss = miss | simd::and_not(t0 > t1, parallel);
+    }
+    *t_enter = t0;
+    *t_exit = t1;
+    return ~simd::bits(miss) & 0xF;
   }
 };
 

@@ -67,7 +67,14 @@ constexpr float clampf(float v, float lo, float hi) { return v < lo ? lo : (v > 
 constexpr Vec3 lerp(Vec3 a, Vec3 b, float t) { return a + (b - a) * t; }
 constexpr float lerpf(float a, float b, float t) { return a + (b - a) * t; }
 
-inline Vec3 floor(Vec3 v) { return {std::floor(v.x), std::floor(v.y), std::floor(v.z)}; }
+/// static_cast<int>(std::floor(x)) without the libm call: truncate, then
+/// step down when truncation rounded a negative fraction up. Exact for
+/// |x| < 2^31 (the truncated value is an integer-valued float, so the
+/// int -> float round trip is exact).
+inline int floor_to_int(float x) {
+  const int i = static_cast<int>(x);
+  return x < static_cast<float>(i) ? i - 1 : i;
+}
 
 inline std::ostream& operator<<(std::ostream& os, Vec3 v) {
   return os << "(" << v.x << ", " << v.y << ", " << v.z << ")";

@@ -47,6 +47,26 @@ Ray Camera::pixel_ray(int px, int py) const {
   return Ray{eye_, normalize(dir)};
 }
 
+simd::F4x3 Camera::pixel_dirs(int px0, int py) const {
+  using simd::F4;
+  const F4 px = simd::to_float(simd::I4(px0) + simd::I4(0, 1, 2, 3));
+  const F4 ndc_x =
+      (F4(2.0f) * (px + F4(0.5f)) / F4(static_cast<float>(width_))) - F4(1.0f);
+  const float ndc_y =
+      1.0f - (2.0f * (static_cast<float>(py) + 0.5f) / static_cast<float>(height_));
+  const F4 sx = ndc_x * F4(tan_half_fovy_) * F4(aspect_);
+  const float sy = ndc_y * tan_half_fovy_;
+  const simd::F4x3 dir{F4(forward_.x) + F4(right_.x) * sx + F4(up_.x * sy),
+                       F4(forward_.y) + F4(right_.y) * sx + F4(up_.y * sy),
+                       F4(forward_.z) + F4(right_.z) * sx + F4(up_.z * sy)};
+  // normalize(): v / length(v), or zero when the length is not positive.
+  const F4 len = simd::sqrt(dir.x * dir.x + dir.y * dir.y + dir.z * dir.z);
+  const F4 positive = len > F4(0.0f);
+  return {simd::select(positive, dir.x / len, F4(0.0f)),
+          simd::select(positive, dir.y / len, F4(0.0f)),
+          simd::select(positive, dir.z / len, F4(0.0f))};
+}
+
 bool Camera::project(Vec3 world, Vec3* pixel_depth) const {
   // Depth along the viewing direction (camera space -z).
   const float view_z = dot(world - eye_, forward_);

@@ -9,6 +9,7 @@
 
 #include "util/aabb.hpp"
 #include "util/mat4.hpp"
+#include "util/simd.hpp"
 #include "util/vec.hpp"
 
 namespace vrmr::volren {
@@ -44,6 +45,11 @@ class Camera {
   /// World-space ray through the center of pixel (px, py); direction is
   /// normalized, so ray parameters are world distances.
   Ray pixel_ray(int px, int py) const;
+
+  /// Directions of pixel_ray(px0 + i, py) in lane i = 0..3, each lane
+  /// computed with the same IEEE operations as pixel_ray (which starts
+  /// every ray at eye()).
+  simd::F4x3 pixel_dirs(int px0, int py) const;
 
   /// Project a world point to pixel coordinates; returns false when the
   /// point is behind the near plane.

@@ -10,10 +10,9 @@ namespace {
 
 /// Smooth value noise: trilinear interpolation of lattice hashes.
 float value_noise(Vec3 p, std::uint32_t seed) {
-  const Vec3 f = vrmr::floor(p);
-  const int x0 = static_cast<int>(f.x), y0 = static_cast<int>(f.y),
-            z0 = static_cast<int>(f.z);
-  const float tx = p.x - f.x, ty = p.y - f.y, tz = p.z - f.z;
+  const int x0 = floor_to_int(p.x), y0 = floor_to_int(p.y), z0 = floor_to_int(p.z);
+  const float tx = p.x - static_cast<float>(x0), ty = p.y - static_cast<float>(y0),
+              tz = p.z - static_cast<float>(z0);
   auto n = [&](int dx, int dy, int dz) {
     return lattice_noise(x0 + dx, y0 + dy, z0 + dz, seed);
   };

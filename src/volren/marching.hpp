@@ -1,8 +1,11 @@
 #pragma once
 
-// The ray-marching inner loop shared — verbatim — by the map kernel and
-// the single-pass reference renderer. Sharing the exact arithmetic is
-// what lets the equivalence tests demand near-bit-exact agreement.
+// The ray-marching inner loop: the single-pass reference renderer's
+// loop, and the specification that each lane of the map kernel's ray
+// packets (raycast.cpp) reproduces op for op. Doing the exact same
+// arithmetic is what lets the equivalence tests demand near-bit-exact
+// agreement, and tests/volren/test_cast_packets.cpp demand bit-exact
+// agreement of the kernel with this loop.
 //
 // Sample grid: t_k = t_anchor + (k + 0.5)·dt, k = 0, 1, 2, …, where
 // t_anchor is the ray's entry into the *volume* box (identical for
@@ -25,6 +28,18 @@ struct MarchResult {
   bool terminated_early = false;     // ERT fired inside this segment
 };
 
+/// The first step k whose t_k lies at or after t_enter. Starts two
+/// steps early and advances with the same float comparison the marching
+/// loop uses, so ownership decisions are bit-consistent with the
+/// neighbouring segment's loop exit (see file comment).
+inline std::int64_t first_step(float t_anchor, float t_enter, float dt) {
+  const double guess =
+      std::ceil((static_cast<double>(t_enter) - t_anchor) / dt - 0.5) - 2.0;
+  std::int64_t k = guess > 0.0 ? static_cast<std::int64_t>(guess) : 0;
+  while (t_anchor + (static_cast<float>(k) + 0.5f) * dt < t_enter) ++k;
+  return k;
+}
+
 /// March the global sample grid across [t_enter, t_exit) of `ray`.
 ///
 /// `sample(p)` returns the scalar at world position p; `transfer(s)`
@@ -39,15 +54,7 @@ inline MarchResult march_ray(const Ray& ray, float t_anchor, float t_enter, floa
   MarchResult result;
   if (!(t_enter < t_exit) || dt <= 0.0f) return result;
 
-  // First candidate step at or after t_enter; start two steps early and
-  // advance with the same float comparison the loop uses, so ownership
-  // decisions are bit-consistent with the neighboring segment's loop
-  // exit (see file comment).
-  const double guess =
-      std::ceil((static_cast<double>(t_enter) - t_anchor) / dt - 0.5) - 2.0;
-  std::int64_t k = guess > 0.0 ? static_cast<std::int64_t>(guess) : 0;
-  while (t_anchor + (static_cast<float>(k) + 0.5f) * dt < t_enter) ++k;
-
+  std::int64_t k = first_step(t_anchor, t_enter, dt);
   for (;;) {
     const float t = t_anchor + (static_cast<float>(k) + 0.5f) * dt;
     if (!(t < t_exit)) break;

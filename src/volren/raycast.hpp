@@ -4,7 +4,12 @@
 //
 // Kernel behaviour mirrors the paper's CUDA implementation:
 //   * volume brick in a 3-D float texture (trilinear, hardware-style);
-//   * 16×16 thread blocks over the brick's projected sub-image;
+//   * 16×16 thread blocks over the brick's projected sub-image; the
+//     host runs each block row's threads as 4-lane SSE2 packets, the way
+//     a warp marches adjacent rays in lock-step. Every lane does
+//     march_ray's operations in march_ray's order (marching.hpp), so the
+//     packets change no bit of output
+//     (tests/volren/test_cast_packets.cpp);
 //   * every ray intersected against the brick's bounding box,
 //     non-intersecting rays discarded immediately;
 //   * fixed-increment, non-adaptive trilinear sampling;

@@ -71,11 +71,13 @@ TEST(DeviceLaunch, CoversEveryThreadExactlyOnce) {
   std::set<std::pair<int, int>> seen;
   std::mutex m;
   const std::uint64_t threads = dev.launch_2d(
-      Int3{3, 2, 1}, Int3{4, 4, 1}, [&](const ThreadCtx& ctx) {
-        std::lock_guard<std::mutex> lock(m);
-        const bool inserted = seen.emplace(ctx.global_x(), ctx.global_y()).second;
-        EXPECT_TRUE(inserted) << "duplicate thread " << ctx.global_x() << ","
-                              << ctx.global_y();
+      Int3{3, 2, 1}, Int3{4, 4, 1}, [&](const BlockCtx& block) {
+        block.for_each_thread([&](const ThreadCtx& ctx) {
+          std::lock_guard<std::mutex> lock(m);
+          const bool inserted = seen.emplace(ctx.global_x(), ctx.global_y()).second;
+          EXPECT_TRUE(inserted) << "duplicate thread " << ctx.global_x() << ","
+                                << ctx.global_y();
+        });
       });
   EXPECT_EQ(threads, 3u * 2 * 4 * 4);
   EXPECT_EQ(seen.size(), threads);
@@ -86,24 +88,30 @@ TEST(DeviceLaunch, CoversEveryThreadExactlyOnce) {
 
 TEST(DeviceLaunch, ThreadCtxGeometryIsConsistent) {
   Device dev(0, small_props());
-  dev.launch_2d(Int3{2, 3, 1}, Int3{8, 4, 1}, [&](const ThreadCtx& ctx) {
-    EXPECT_GE(ctx.thread_idx.x, 0);
-    EXPECT_LT(ctx.thread_idx.x, ctx.block_dim.x);
-    EXPECT_GE(ctx.thread_idx.y, 0);
-    EXPECT_LT(ctx.thread_idx.y, ctx.block_dim.y);
-    EXPECT_LT(ctx.block_idx.x, ctx.grid_dim.x);
-    EXPECT_LT(ctx.block_idx.y, ctx.grid_dim.y);
-    EXPECT_EQ(ctx.global_x(), ctx.block_idx.x * 8 + ctx.thread_idx.x);
-    EXPECT_EQ(ctx.global_y(), ctx.block_idx.y * 4 + ctx.thread_idx.y);
+  std::atomic<int> blocks{0};
+  dev.launch_2d(Int3{2, 3, 1}, Int3{8, 4, 1}, [&](const BlockCtx& block) {
+    ++blocks;
+    EXPECT_LT(block.block_idx.x, block.grid_dim.x);
+    EXPECT_LT(block.block_idx.y, block.grid_dim.y);
+    block.for_each_thread([&](const ThreadCtx& ctx) {
+      EXPECT_GE(ctx.thread_idx.x, 0);
+      EXPECT_LT(ctx.thread_idx.x, ctx.block_dim.x);
+      EXPECT_GE(ctx.thread_idx.y, 0);
+      EXPECT_LT(ctx.thread_idx.y, ctx.block_dim.y);
+      EXPECT_EQ(ctx.block_idx, block.block_idx);
+      EXPECT_EQ(ctx.global_x(), ctx.block_idx.x * 8 + ctx.thread_idx.x);
+      EXPECT_EQ(ctx.global_y(), ctx.block_idx.y * 4 + ctx.thread_idx.y);
+    });
   });
+  EXPECT_EQ(blocks.load(), 2 * 3);  // the kernel runs once per block
   EXPECT_EQ(dev.kernels_launched(), 1u);
 }
 
 TEST(DeviceLaunch, RejectsOversizedBlocks) {
   Device dev(0, small_props());
-  EXPECT_THROW(dev.launch_2d(Int3{1, 1, 1}, Int3{64, 64, 1}, [](const ThreadCtx&) {}),
+  EXPECT_THROW(dev.launch_2d(Int3{1, 1, 1}, Int3{64, 64, 1}, [](const BlockCtx&) {}),
                vrmr::CheckError);
-  EXPECT_THROW(dev.launch_2d(Int3{0, 1, 1}, Int3{8, 8, 1}, [](const ThreadCtx&) {}),
+  EXPECT_THROW(dev.launch_2d(Int3{0, 1, 1}, Int3{8, 8, 1}, [](const BlockCtx&) {}),
                vrmr::CheckError);
 }
 
