@@ -15,7 +15,7 @@
 #include <map>
 
 #include "mr/combiner.hpp"
-#include "mr/job.hpp"
+#include "mr/frame_plan.hpp"
 #include "util/rng.hpp"
 #include "volren/fragment.hpp"
 
@@ -76,19 +76,19 @@ int main() {
         config.domain.num_keys =
             static_cast<std::uint32_t>(options.image_width) * options.image_height;
         config.domain.image_width = static_cast<std::uint32_t>(options.image_width);
-        mr::Job job(cluster, config);
-        job.set_mapper_factory([&](int, gpusim::Device&) {
+        mr::FramePlan plan(cluster, config);
+        plan.set_mapper_factory([&](int, gpusim::Device&) {
           return std::make_unique<volren::RayCastMapper>(volume, frame);
         });
         std::vector<std::vector<volren::FinishedPixel>> pieces(
             static_cast<size_t>(gpus));
-        job.set_reducer_factory([&](int r) {
+        plan.set_reducer_factory([&](int r) {
           return std::make_unique<volren::CompositeReducer>(
               options.cast.ert_threshold, options.background,
               &pieces[static_cast<size_t>(r)]);
         });
         if (enabled) {
-          job.set_combiner_factory(
+          plan.set_combiner_factory(
               [](int) { return std::make_unique<FragmentCombiner>(); });
         }
         // Visibility-ordered slab assignment keeps one mapper's
@@ -98,9 +98,9 @@ int main() {
         const volren::BrickLayout layout(volume.dims(), volume.world_extent(),
                                          brick_dims, 1);
         for (const volren::BrickInfo& info : layout.bricks()) {
-          job.add_chunk(std::make_unique<volren::BrickChunk>(volume, info));
+          plan.add_chunk(std::make_unique<volren::BrickChunk>(volume, info));
         }
-        const mr::JobStats stats = job.run();
+        const mr::JobStats stats = plan.run_to_completion();
         const double collision =
             stats.combine_input_pairs > 0
                 ? static_cast<double>(stats.combine_input_pairs) /
@@ -171,16 +171,16 @@ int main() {
       mr::JobConfig config;
       config.value_size = 8;
       config.domain.num_keys = 256;
-      mr::Job job(cluster, config);
-      job.set_mapper_factory(
+      mr::FramePlan plan(cluster, config);
+      plan.set_mapper_factory(
           [](int, gpusim::Device&) { return std::make_unique<HistMapper>(); });
-      job.set_reducer_factory([](int) { return std::make_unique<NullReducer>(); });
+      plan.set_reducer_factory([](int) { return std::make_unique<NullReducer>(); });
       if (enabled) {
-        job.set_combiner_factory([](int) { return std::make_unique<SumCombiner>(); });
+        plan.set_combiner_factory([](int) { return std::make_unique<SumCombiner>(); });
       }
       for (int c = 0; c < 32; ++c)
-        job.add_chunk(std::make_unique<HistChunk>(200000));
-      const mr::JobStats stats = job.run();
+        plan.add_chunk(std::make_unique<HistChunk>(200000));
+      const mr::JobStats stats = plan.run_to_completion();
       table.add_row({enabled ? "on" : "off", Table::num(stats.runtime_s, 4),
                      format_bytes(stats.bytes_net),
                      std::to_string(enabled ? stats.combine_output_pairs

@@ -10,7 +10,7 @@
 #include <map>
 
 #include "cluster/cluster.hpp"
-#include "mr/job.hpp"
+#include "mr/frame_plan.hpp"
 #include "sim/engine.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -96,18 +96,18 @@ int main() {
   config.value_size = sizeof(std::uint64_t);
   config.domain.num_keys = kBins;
 
-  mr::Job job(cluster, config);
-  job.set_mapper_factory(
+  mr::FramePlan plan(cluster, config);
+  plan.set_mapper_factory(
       [&](int, gpusim::Device&) { return std::make_unique<HistogramMapper>(volume); });
   std::map<std::uint32_t, std::uint64_t> totals;
-  job.set_reducer_factory(
+  plan.set_reducer_factory(
       [&](int) { return std::make_unique<BinSumReducer>(&totals); });
 
   const volren::BrickLayout layout(dims, volume.world_extent(), 64, 0);
   for (const volren::BrickInfo& info : layout.bricks()) {
-    job.add_chunk(std::make_unique<volren::BrickChunk>(volume, info));
+    plan.add_chunk(std::make_unique<volren::BrickChunk>(volume, info));
   }
-  const mr::JobStats stats = job.run();
+  const mr::JobStats stats = plan.run_to_completion();
 
   std::uint64_t total_voxels = 0;
   for (const auto& [bin, count] : totals) total_voxels += count;

@@ -11,7 +11,7 @@
 #include <limits>
 
 #include "cluster/cluster.hpp"
-#include "mr/job.hpp"
+#include "mr/frame_plan.hpp"
 #include "sim/engine.hpp"
 #include "util/units.hpp"
 #include "volren/datasets.hpp"
@@ -143,13 +143,13 @@ int main(int argc, char** argv) {
   config.domain.num_keys = 384 * 384;
   config.domain.image_width = 384;
 
-  mr::Job job(cluster, config);
-  job.set_mapper_factory([&](int, gpusim::Device&) {
+  mr::FramePlan plan(cluster, config);
+  plan.set_mapper_factory([&](int, gpusim::Device&) {
     return std::make_unique<MipMapper>(volume, frame);
   });
   std::vector<std::vector<volren::FinishedPixel>> pieces(
       static_cast<size_t>(cluster.total_gpus()));
-  job.set_reducer_factory([&](int r) {
+  plan.set_reducer_factory([&](int r) {
     return std::make_unique<MaxReducer>(&pieces[static_cast<size_t>(r)]);
   });
 
@@ -157,10 +157,10 @@ int main(int argc, char** argv) {
                                    volren::BrickLayout::choose_brick_size(volume.dims(), 4),
                                    1);
   for (const volren::BrickInfo& info : layout.bricks()) {
-    job.add_chunk(std::make_unique<volren::BrickChunk>(volume, info));
+    plan.add_chunk(std::make_unique<volren::BrickChunk>(volume, info));
   }
 
-  const mr::JobStats stats = job.run();
+  const mr::JobStats stats = plan.run_to_completion();
   const volren::Image image = volren::stitch_image(384, 384, Vec3{0, 0, 0}, pieces);
   image.write_ppm(out_path);
 

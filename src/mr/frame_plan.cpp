@@ -474,7 +474,7 @@ void FramePlan::run_map(int g, int chunk_index) {
   // simulated duration is charged onto the GPU stream afterwards.
   auto out = std::make_shared<KvBuffer>(config_.value_size);
   const MapOutcome outcome = gs.mapper->map(cluster_.gpu(g), chunk, *out);
-  if (config_.verify_every_thread_emits && outcome.threads > 0) {
+  if (outcome.threads > 0) {
     VRMR_CHECK_MSG(out->size() == outcome.threads,
                    "every-thread-emits violated for chunk '"
                        << chunk.label() << "': " << out->size() << " pairs from "
@@ -710,8 +710,8 @@ void FramePlan::send_payload(int g, int r, std::shared_ptr<KvBuffer> payload,
     }
     // Barrier bookkeeping first (see the empty-payload branch); the
     // drain transition's sweep still marks this reducer ready before
-    // on_sorts_ready fires, preserving the ready-then-sorts_ready
-    // order on the final send.
+    // the Global sort sweep, preserving the ready-then-sort order on
+    // the final send.
     maybe_finish_routing();
     maybe_reducer_ready(r);
   });
@@ -735,10 +735,10 @@ void FramePlan::maybe_finish_routing() {
   routing_resolved_ = true;
 
   // Stamp the routing barrier BEFORE any readiness marking: marking a
-  // reducer ready can synchronously cascade its zero-pair sort+reduce
-  // (through eager issuing or a driver's ready callback) — with every
-  // inbox empty that cascade finishes the whole frame, and
-  // finalize_stats must see t_routed by then.
+  // reducer ready issues its sort, which for a zero-pair inbox cascades
+  // through sort+reduce synchronously — with every inbox empty that
+  // cascade finishes the whole frame, and finalize_stats must see
+  // t_routed by then.
   const bool drained = sends_in_flight_ == 0;
   if (drained) {
     sorts_ready_ = true;
@@ -748,8 +748,8 @@ void FramePlan::maybe_finish_routing() {
   if (per_reducer_barriers()) {
     // Sweep on newly-final counts (any reducer whose inbox is already
     // complete becomes ready, index order) and on the drain (the final
-    // send's reducer goes ready here, before sorts_ready_cb_). Between
-    // those, each landing send marks its own reducer.
+    // send's reducer goes ready here). Between those, each landing
+    // send marks its own reducer.
     if (first_resolve || drained) {
       for (int r = 0; r < static_cast<int>(reducers_.size()); ++r) {
         maybe_reducer_ready(r);
@@ -762,11 +762,8 @@ void FramePlan::maybe_finish_routing() {
     }
   }
   if (!drained) return;
-  if (sorts_ready_cb_) sorts_ready_cb_();
-  if (greedy_ || eager_barriers_) {
-    for (int r = 0; r < static_cast<int>(reducers_.size()); ++r) {
-      if (sort_pending(r)) issue_sort_quantum(r);
-    }
+  for (int r = 0; r < static_cast<int>(reducers_.size()); ++r) {
+    if (sort_pending(r)) issue_sort_quantum(r);
   }
 }
 
@@ -783,7 +780,7 @@ void FramePlan::maybe_reducer_ready(int r) {
     return;
   }
   mark_reducer_ready(r);
-  if (greedy_ || eager_barriers_) issue_sort_quantum(r);
+  issue_sort_quantum(r);
 }
 
 void FramePlan::mark_reducer_ready(int r) {
@@ -800,10 +797,6 @@ void FramePlan::mark_reducer_ready(int r) {
 }
 
 // --- sort quanta -------------------------------------------------------------
-
-bool FramePlan::reducer_ready(int reducer) const {
-  return reducers_.at(static_cast<std::size_t>(reducer))->ready;
-}
 
 double FramePlan::reducer_ready_s(int reducer) const {
   return reducers_.at(static_cast<std::size_t>(reducer))->ready_s;
@@ -823,13 +816,8 @@ bool FramePlan::sort_pending(int reducer) const {
 }
 
 void FramePlan::issue_sort_quantum(int r) {
-  auto& rs = *reducers_.at(static_cast<std::size_t>(r));
-  VRMR_CHECK_MSG(rs.ready, "sort quantum " << r << " not ready ("
-                               << (per_reducer_barriers()
-                                       ? "inbox incomplete"
-                                       : "routing barrier open")
-                               << ")");
-  VRMR_CHECK_MSG(!rs.sort_issued, "sort quantum " << r << " already issued");
+  VRMR_CHECK(sort_pending(r));
+  auto& rs = *reducers_[static_cast<std::size_t>(r)];
   rs.sort_issued = true;
   rs.sort_issue_s = cluster_.engine().now();
   if (auto* tr = config_.trace.recorder) {
@@ -896,31 +884,24 @@ void FramePlan::sort_done(int r) {
     tr->end(rs_done.sort_done_s, config_.trace.pid,
             config_.trace.reducer_tid_base + r);  // closes "sort"
   }
-  // Stamp the sort barrier BEFORE the completion callback or chaining:
-  // a zero-pair reduce issued from either completes synchronously, and
-  // when this was the last sort that cascade finishes the frame —
-  // finalize_stats must see t_sorted by then.
+  // Stamp the sort barrier BEFORE chaining: a zero-pair reduce
+  // completes synchronously, and when this was the last sort that
+  // cascade finishes the frame — finalize_stats must see t_sorted by
+  // then.
   const bool last = --sorts_remaining_ == 0;
   if (last) {
     stats_.t_sorted = cluster_.engine().now() - t0_;
     reduces_ready_ = true;
   }
-  if (sort_done_cb_) sort_done_cb_(r);
   // Per-reducer chaining: this reducer's tile proceeds to compositing
   // immediately — it never waits for the other sorts.
-  if (per_reducer_barriers() && (greedy_ || eager_barriers_) &&
-      reduce_pending(r)) {
-    issue_reduce_quantum(r);
-  }
+  if (per_reducer_barriers() && reduce_pending(r)) issue_reduce_quantum(r);
   if (last) {
-    if (reduces_ready_cb_) reduces_ready_cb_();
-    if (greedy_ || eager_barriers_) {
-      // Under PerReducer barriers every other reduce already chained at
-      // its own sort; this loop only picks up stragglers (Global mode
-      // issues everything here).
-      for (int rr = 0; rr < static_cast<int>(reducers_.size()); ++rr) {
-        if (reduce_pending(rr)) issue_reduce_quantum(rr);
-      }
+    // Under PerReducer barriers every other reduce already chained at
+    // its own sort; this loop only picks up stragglers (Global mode
+    // issues everything here).
+    for (int rr = 0; rr < static_cast<int>(reducers_.size()); ++rr) {
+      if (reduce_pending(rr)) issue_reduce_quantum(rr);
     }
   }
 }
@@ -934,14 +915,8 @@ bool FramePlan::reduce_pending(int reducer) const {
 }
 
 void FramePlan::issue_reduce_quantum(int r) {
-  auto& rs = *reducers_.at(static_cast<std::size_t>(r));
-  VRMR_CHECK_MSG(per_reducer_barriers() ? rs.sort_completed : reduces_ready_,
-                 "reduce quantum " << r << " not ready ("
-                                   << (per_reducer_barriers()
-                                           ? "own sort outstanding"
-                                           : "sorts outstanding")
-                                   << ")");
-  VRMR_CHECK_MSG(!rs.reduce_issued, "reduce quantum " << r << " already issued");
+  VRMR_CHECK(reduce_pending(r));
+  auto& rs = *reducers_[static_cast<std::size_t>(r)];
   rs.reduce_issued = true;
 
   const auto& hw = cluster_.config().hw;
@@ -1050,7 +1025,7 @@ const JobStats& FramePlan::stats() const {
 }
 
 JobStats FramePlan::run_to_completion() {
-  if (!started_) start();
+  start();
   greedy_ = true;
 
   auto& engine = cluster_.engine();

@@ -1,14 +1,34 @@
 #pragma once
 
-// FramePlan — the MapReduce pipeline of job.hpp factored into
-// externally-driven *work quanta*.
+// FramePlan — the MapReduce job runtime, the paper's core contribution
+// (§3.1). One plan renders one frame (or runs one generic MapReduce
+// pass) on a simulated cluster, configured by a JobConfig (job.hpp).
+// The dataflow per GPU process g follows Figure 1:
 //
-// The paper runs one monolithic job per frame: every chunk is staged
-// and mapped, fragments are routed, sorted, reduced, and control only
-// returns when the whole cluster is done. That shape is exactly what
-// blocks a serving layer from preempting a batch frame, streaming
-// finished tiles, or prefetching during a frame's reduce tail — so the
-// pipeline now lives here, cut at its natural seams:
+//   chunks --> [disk] --> H2D --> Map kernel --> D2H --> Partition
+//        (per-chunk, streamed; the next chunk's staging overlaps the
+//         previous chunk's partition/sends)
+//   Partition --> async network sends to reducer processes
+//   barrier: all mappers finished AND all pairs delivered
+//   Sort (counting sort, CPU or GPU)  --> barrier
+//   Reduce (compositing)              --> job complete
+//
+// Design notes mirroring the paper:
+//   * streaming, no intermediate disk I/O (§1: values are "streamed ...
+//     to the appropriate processes");
+//   * the H2D copy of a chunk is synchronous and occupies the GPU
+//     (§3.1.2, CUDA 3-D texture restriction);
+//   * partitioning is implicit (key % R for round-robin) and cheap;
+//   * placeholders emitted by no-contribution threads are carried
+//     through D2H and dropped during partition (§3.1.1);
+//   * one reducer process is co-located with each GPU process, as in
+//     the paper's one-MapReduce-process-per-GPU deployment;
+//   * no combiner (§3.1: "specifically omitted partial reduce/combine"),
+//     no fault tolerance, no distributed FS (§1).
+//
+// A serving layer must preempt a batch frame, stream finished tiles and
+// prefetch during a frame's reduce tail, so the pipeline is cut into
+// *work quanta* at its natural seams:
 //
 //   * stage+map quantum  — one chunk on one GPU: (disk) -> H2D -> map
 //     kernel -> D2H. The quantum ends when the D2H completes and the
@@ -36,12 +56,15 @@
 // time-to-first-pixel (the first tile no longer waits for the slowest
 // reducer's inbox or the slowest sort).
 //
-// The driver decides *when* each quantum is issued; the plan owns all
-// dataflow bookkeeping and fires hooks at the decision points
-// (lane freed, sorts ready, reduces ready, tile done, finished).
-// `run_to_completion()` is the greedy driver that reproduces the
-// original monolithic job event-for-event — mr::Job and the one-shot
-// renderer facade are thin wrappers over it.
+// One driver contract: the driver decides only when map quanta issue.
+// Sort and reduce quanta always issue themselves at their barrier
+// (contention with other plans is arbitrated by the simulated
+// resources); hooks report the decision points (lane freed, reducer
+// ready, tile done, finished). `run_to_completion()` is the greedy
+// driver — every map quantum the moment its lane is free — and
+// reproduces the paper's monolithic job event-for-event; the one-shot
+// renderer and generic MapReduce passes use it, while the serving
+// layer issues map quanta from its own scheduler (src/service).
 //
 // Everything runs on the cluster's DES engine; with a deterministic
 // driver the whole schedule is bit-reproducible. Busy-time stats are
@@ -79,6 +102,8 @@ class FramePlan {
   void set_reducer_factory(ReducerFactory factory) {
     reducer_factory_ = std::move(factory);
   }
+  /// Optional mapper-side partial reduce (combiner.hpp). The paper
+  /// omitted this stage; setting it enables the §3.1 ablation.
   void set_combiner_factory(CombinerFactory factory) {
     combiner_factory_ = std::move(factory);
   }
@@ -114,30 +139,15 @@ class FramePlan {
   /// preemption point: the driver may issue this plan's next quantum,
   /// another plan's, or leave the lane idle.
   void on_lane_free(std::function<void(int gpu)> cb) { lane_free_cb_ = std::move(cb); }
-  /// Reducer `reducer`'s sort quantum became issuable. Under PerReducer
-  /// barriers this fires the moment that reducer's inbox completes
-  /// (inbox-completion order); under Global barriers it fires for every
-  /// reducer, in index order, when the routing barrier passes.
+  /// Reducer `reducer`'s inbox is sortable; its sort quantum issues
+  /// itself at this same engine time. Under PerReducer barriers this
+  /// fires the moment that reducer's inbox completes (inbox-completion
+  /// order) and the sort follows the callback; under Global barriers
+  /// it fires for every reducer, in index order, when the routing
+  /// barrier passes, and the sorts follow the last callback.
   void on_reducer_ready(std::function<void(int reducer)> cb) {
     reducer_ready_cb_ = std::move(cb);
   }
-  /// Reducer `reducer`'s sort quantum completed. Under PerReducer
-  /// barriers its reduce quantum is issuable from this moment (a
-  /// driver that does not use eager barriers chains here).
-  void on_sort_done(std::function<void(int reducer)> cb) {
-    sort_done_cb_ = std::move(cb);
-  }
-  /// The routing barrier passed — every sort quantum is now issuable.
-  /// Under PerReducer barriers this is informational, not a gate: it
-  /// fires when the last send drains, after the final
-  /// on_reducer_ready, by which point sorts (and, for zero-pair
-  /// reducers, whole sort+reduce chains) may already have run.
-  void on_sorts_ready(std::function<void()> cb) { sorts_ready_cb_ = std::move(cb); }
-  /// Every sort completed — every reduce quantum is now issuable.
-  /// Informational under PerReducer barriers (reduces chain off their
-  /// own sorts; in the all-empty-inbox corner the frame can even
-  /// finish before this fires).
-  void on_reduces_ready(std::function<void()> cb) { reduces_ready_cb_ = std::move(cb); }
   /// Reducer `reducer`'s reduce quantum completed: its tile of the key
   /// domain is final. Fires before on_finished for the last tile.
   void on_tile_done(std::function<void(int reducer)> cb) { tile_cb_ = std::move(cb); }
@@ -150,35 +160,24 @@ class FramePlan {
   /// detection timeout elapsed: the chunk is restored as the lane's
   /// next pending quantum and the lane is free again. Fires before
   /// on_lane_free for the same event; `attempt` counts this failure
-  /// (retry n+1 will present attempt n+1 to the fault hook). Without a
-  /// driver, greedy mode retries on the same lane immediately.
+  /// (retry n+1 will present attempt n+1 to the fault hook). Under
+  /// run_to_completion the chunk retries on the same lane immediately.
   void on_quantum_failed(std::function<void(int gpu, int chunk_index, int attempt)> cb) {
     quantum_failed_cb_ = std::move(cb);
   }
 
   /// Build mapper/reducer processes, deal chunks, anchor t0 at the
   /// current engine time. GPUs with no chunks retire immediately.
-  /// Issues nothing — the driver pulls quanta from here on.
+  /// Single use. Issues nothing — the driver issues map quanta from
+  /// here on.
   void start();
-  bool started() const { return started_; }
-
-  /// Issue every sort quantum the moment it becomes ready (its
-  /// barrier-mode-specific readiness, see BarrierMode) and every
-  /// reduce quantum the moment it becomes issuable, without driver
-  /// involvement. Map quanta stay driver-controlled — this is the mode
-  /// a preemptive scheduler wants: brick-granular control of the GPU
-  /// lanes, hands-off per-reducer barrier work (contention is
-  /// arbitrated by the simulated resources). run_to_completion implies
-  /// it.
-  void set_eager_barriers(bool eager) { eager_barriers_ = eager; }
 
   // --- stage+map quanta ----------------------------------------------------
   /// Chunks dealt to `gpu` not yet issued.
   int pending_map_quanta(int gpu) const;
-  /// A stage+map quantum of THIS plan currently occupies `gpu`.
-  bool lane_busy(int gpu) const;
   /// Issue the next chunk on `gpu`: (disk) -> H2D -> kernel -> D2H.
-  /// Requires pending_map_quanta(gpu) > 0 and !lane_busy(gpu).
+  /// Requires pending_map_quanta(gpu) > 0 and no quantum of this plan
+  /// in flight on `gpu`.
   void issue_map_quantum(int gpu);
 
   /// Fail-stop recovery: move every not-yet-issued chunk of `gpu` onto
@@ -193,25 +192,13 @@ class FramePlan {
   /// Callable any time between start() and the routing barrier.
   void redistribute_lane(int gpu, const std::vector<int>& survivors);
 
-  // --- sort quanta ---------------------------------------------------------
-  bool sorts_ready() const { return sorts_ready_; }
-  /// Reducer `reducer`'s sort quantum is issuable: under PerReducer
-  /// barriers, its inbox is complete; under Global, the routing
-  /// barrier passed.
-  bool reducer_ready(int reducer) const;
+  // --- barrier timestamps ------------------------------------------------
   /// Absolute engine time `reducer` became ready (0 until it did).
   double reducer_ready_s(int reducer) const;
   /// Absolute engine times `reducer`'s sort quantum was issued /
   /// completed (0 until then) — critical-path boundaries.
   double sort_issue_s(int reducer) const;
   double sort_done_s(int reducer) const;
-  bool sort_pending(int reducer) const;
-  void issue_sort_quantum(int reducer);
-
-  // --- reduce quanta -------------------------------------------------------
-  bool reduces_ready() const { return reduces_ready_; }
-  bool reduce_pending(int reducer) const;
-  void issue_reduce_quantum(int reducer);
 
   int num_reducers() const { return static_cast<int>(reducers_.size()); }
   bool finished() const { return finished_; }
@@ -234,16 +221,22 @@ class FramePlan {
   /// Finalized statistics; valid once finished().
   const JobStats& stats() const;
 
-  /// Greedy monolithic driver: issue every quantum as soon as it is
-  /// available until the plan finishes, pumping the cluster's engine.
-  /// Reproduces the paper's whole-frame job event-for-event. Chains
-  /// after (does not replace) any installed hooks.
+  /// Greedy monolithic driver: start() the plan, then issue every map
+  /// quantum as soon as its lane is free until the plan finishes,
+  /// pumping the cluster's engine. Reproduces the paper's whole-frame
+  /// job event-for-event. Single use (start() CHECK-fails on a second
+  /// call). Chains after (does not replace) any installed hooks.
   JobStats run_to_completion();
 
  private:
   struct GpuState;
   struct ReducerState;
 
+  bool lane_busy(int gpu) const;
+  bool sort_pending(int reducer) const;
+  void issue_sort_quantum(int reducer);
+  bool reduce_pending(int reducer) const;
+  void issue_reduce_quantum(int reducer);
   void begin_staging(int gpu, int chunk_index);
   /// Wedge `gpu`'s stream for detect_s, then restore the chunk, free
   /// the lane, and fire on_quantum_failed (the injected-failure path).
@@ -296,9 +289,6 @@ class FramePlan {
 
   std::function<void(int)> lane_free_cb_;
   std::function<void(int)> reducer_ready_cb_;
-  std::function<void(int)> sort_done_cb_;
-  std::function<void()> sorts_ready_cb_;
-  std::function<void()> reduces_ready_cb_;
   std::function<void(int)> tile_cb_;
   std::function<void()> finished_cb_;
   std::function<void(int, int, int)> quantum_failed_cb_;
@@ -310,8 +300,8 @@ class FramePlan {
   /// Every mapper finished partitioning: each reducer's expected
   /// inbound-send count is final (the PerReducer readiness gate).
   bool routing_resolved_ = false;
-  bool sorts_ready_ = false;
-  bool reduces_ready_ = false;
+  bool sorts_ready_ = false;    // routing barrier passed: every send landed
+  bool reduces_ready_ = false;  // every sort completed
   int sorts_remaining_ = 0;
   int reduces_remaining_ = 0;
   std::vector<double> tile_finish_s_;
@@ -321,8 +311,7 @@ class FramePlan {
   double t0_ = 0.0;
   bool started_ = false;
   bool finished_ = false;
-  bool greedy_ = false;          // run_to_completion auto-issues map quanta
-  bool eager_barriers_ = false;  // sort/reduce quanta self-issue at barriers
+  bool greedy_ = false;  // run_to_completion auto-issues map quanta
 
   JobStats stats_;
 };

@@ -1,39 +1,10 @@
 #pragma once
 
-// The MapReduce job runtime — the paper's core contribution (§3.1).
-//
-// One Job renders one frame (or runs one generic MapReduce pass) on a
-// simulated cluster. The dataflow per GPU process g follows Figure 1:
-//
-//   chunks --> [disk] --> H2D --> Map kernel --> D2H --> Partition
-//        (per-chunk, streamed; the next chunk's staging overlaps the
-//         previous chunk's partition/sends)
-//   Partition --> async network sends to reducer processes
-//   barrier: all mappers finished AND all pairs delivered
-//   Sort (counting sort, CPU or GPU)  --> barrier
-//   Reduce (compositing)              --> job complete
-//
-// Design notes mirroring the paper:
-//   * streaming, no intermediate disk I/O (§1: values are "streamed ...
-//     to the appropriate processes");
-//   * the H2D copy of a chunk is synchronous and occupies the GPU
-//     (§3.1.2, CUDA 3-D texture restriction);
-//   * partitioning is implicit (key % R for round-robin) and cheap;
-//   * placeholders emitted by no-contribution threads are carried
-//     through D2H and dropped during partition (§3.1.1);
-//   * no combiner (§3.1: "specifically omitted partial reduce/combine"),
-//     no fault tolerance, no distributed FS (§1).
-//
-// One reducer process is co-located with each GPU process, mirroring
-// the paper's one-MapReduce-process-per-GPU deployment.
-//
-// Job is the *monolithic* façade: run() executes the whole pipeline to
-// completion in one call. The pipeline itself lives in
-// mr/frame_plan.hpp as externally-driven work quanta; Job drives a
-// FramePlan greedily (every quantum issued the moment it is available),
-// which reproduces the paper's whole-frame execution exactly. Serving
-// layers that need preemption, tile streaming, or prefetch drive the
-// FramePlan directly.
+// Configuration of one MapReduce job (§3.1): JobConfig, the barrier
+// mode, the mapper/reducer/combiner factories and the staging, fetch
+// and fault hooks a serving layer installs. The runtime that executes
+// a job is mr::FramePlan (frame_plan.hpp): build one from a JobConfig
+// and call run_to_completion() for the paper's whole-frame schedule.
 
 #include <functional>
 #include <memory>
@@ -49,8 +20,6 @@
 #include "obs/trace.hpp"
 
 namespace vrmr::mr {
-
-class FramePlan;
 
 /// Residency hook for chunk staging. Called when GPU process `gpu` is
 /// about to stage `chunk`; return true when the chunk's payload is
@@ -146,10 +115,6 @@ struct JobConfig {
   /// of bricks × reducers small ones.
   std::uint64_t send_buffer_bytes = 256 * 1024;
 
-  /// Verify the every-thread-emits restriction when mappers report
-  /// thread counts (§3.1.1).
-  bool verify_every_thread_emits = true;
-
   /// Optional residency test consulted before each chunk is staged
   /// (see StagingHook above). Null = always stage.
   StagingHook staging_hook;
@@ -174,35 +139,5 @@ using MapperFactory =
     std::function<std::unique_ptr<Mapper>(int gpu_index, gpusim::Device& device)>;
 using ReducerFactory = std::function<std::unique_ptr<Reducer>(int reducer_index)>;
 using CombinerFactory = std::function<std::unique_ptr<Combiner>(int gpu_index)>;
-
-class Job {
- public:
-  Job(cluster::Cluster& cluster, JobConfig config);
-  ~Job();
-
-  Job(const Job&) = delete;
-  Job& operator=(const Job&) = delete;
-
-  void set_mapper_factory(MapperFactory factory);
-  void set_reducer_factory(ReducerFactory factory);
-
-  /// Optional mapper-side partial reduce (see combiner.hpp). The paper
-  /// omitted this stage; setting it enables the §3.1 ablation.
-  void set_combiner_factory(CombinerFactory factory);
-
-  /// Queue a chunk. `gpu` pins it to a GPU process; -1 deals chunks
-  /// round-robin (the paper's "number of bricks close to the number of
-  /// GPUs" sweet spot comes from this dealing).
-  void add_chunk(std::unique_ptr<Chunk> chunk, int gpu = -1);
-
-  int num_chunks() const;
-
-  /// Execute the full pipeline on the cluster's DES engine; single use.
-  JobStats run();
-
- private:
-  std::unique_ptr<FramePlan> plan_;
-  bool ran_ = false;
-};
 
 }  // namespace vrmr::mr

@@ -9,8 +9,8 @@
 // paging/residency designs of Zellmann et al. (VDB paging) and Hassan
 // et al. (session-oriented distributed rendering), this cache tracks
 // which (volume, brick) payloads are resident per GPU under a byte
-// budget derived from gpusim::DeviceProps VRAM, and lets mr::Job skip
-// disk + H2D staging for hits (JobConfig::staging_hook).
+// budget derived from gpusim::DeviceProps VRAM, and lets mr::FramePlan
+// skip disk + H2D staging for hits (JobConfig::staging_hook).
 //
 // Two admission/eviction policies (CachePolicy):
 //

@@ -1072,14 +1072,11 @@ void RenderService::admit(int session_index, double predicted_cost_s) {
     // the admission policy (under SJF that is a full cost-model pass).
     if (draining_) pump(/*try_admission=*/false);
   });
-  // Sort and reduce quanta self-issue at their barriers: they are
-  // per-reducer (tile) grained, and any contention with another
-  // frame's map quanta is arbitrated by the simulated resources. Under
+  // Sort and reduce quanta issue themselves at their barriers. Under
   // PerReducer barriers (the default) a reducer's readiness is a
   // scheduling event: its sort+reduce chain starts right then, tiles
   // stream while other lanes still map, and idle lanes get a prefetch
   // pass at the earliest point the widened overlap window opens.
-  plan.set_eager_barriers(true);
   plan.on_reducer_ready([this](int) {
     if (draining_) pump(/*try_admission=*/false);
   });

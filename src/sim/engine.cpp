@@ -7,7 +7,6 @@ void Engine::schedule_at(SimTime t, std::function<void()> fn) {
                                 << t << ", now=" << now_ << ")");
   VRMR_CHECK(fn != nullptr);
   queue_.push(Event{t, next_seq_++, std::move(fn)});
-  if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
 }
 
 bool Engine::step() {
@@ -33,7 +32,6 @@ void Engine::reset() {
   now_ = 0.0;
   next_seq_ = 0;
   processed_ = 0;
-  max_queue_depth_ = 0;
 }
 
 }  // namespace vrmr::sim

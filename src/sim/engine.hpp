@@ -52,10 +52,6 @@ class Engine {
 
   bool empty() const { return queue_.empty(); }
   std::uint64_t events_processed() const { return processed_; }
-  std::uint64_t events_scheduled() const { return next_seq_; }
-  /// High-water mark of the pending-event queue — a cheap load signal
-  /// for the observability layer (obs::Registry gauges).
-  std::size_t max_queue_depth() const { return max_queue_depth_; }
 
   /// Reset the clock and drop pending events (for reuse across frames).
   void reset();
@@ -77,7 +73,6 @@ class Engine {
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::size_t max_queue_depth_ = 0;
 };
 
 /// Countdown latch for the DES: fires `on_done` when `arrive()` has been

@@ -3,7 +3,7 @@
 // High-level public API: render one frame of a volume on a simulated
 // multi-GPU cluster via the MapReduce pipeline. This is the facade the
 // examples and the figure benches drive; everything it does is also
-// reachable piecewise (BrickLayout + Job + RayCastMapper +
+// reachable piecewise (BrickLayout + FramePlan + RayCastMapper +
 // CompositeReducer) for custom pipelines (see examples/mip_pipeline).
 
 #include <cstdint>
@@ -169,7 +169,7 @@ struct AdaptiveQuality {
 ///
 ///   auto frame = plan_frame(cluster, volume, options, hook, layout);
 ///   frame->plan().on_tile_done(...);        // stream tiles
-///   frame->plan().start();                  // then issue quanta, or:
+///   frame->plan().start();                  // then issue map quanta, or:
 ///   frame->plan().run_to_completion();      // the monolithic schedule
 ///   RenderResult result = frame->finish();  // stitch + stats
 ///

@@ -19,7 +19,7 @@
 //   gpusim   — functional GPU devices, kernel launches, textures
 //   net/io   — interconnect fabric, virtual disks, VRBF brick files
 //   cluster  — node topology + calibrated hardware model
-//   mr       — the MapReduce library (Job, Mapper, Reducer, Combiner)
+//   mr       — the MapReduce library (FramePlan, Mapper, Reducer, Combiner)
 //   volren   — the volume renderer built on mr
 //   service  — session handles, frame scheduler, per-GPU brick cache,
 //              sharded multi-cluster frontend

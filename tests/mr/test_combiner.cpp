@@ -10,7 +10,7 @@
 
 #include "cluster/cluster.hpp"
 #include "mr/combiner.hpp"
-#include "mr/job.hpp"
+#include "mr/frame_plan.hpp"
 #include "sim/engine.hpp"
 
 namespace vrmr::mr {
@@ -95,20 +95,20 @@ RunResult run_sum_job(int gpus, std::uint32_t num_keys, bool with_combiner,
   cfg.value_size = sizeof(std::uint64_t);
   cfg.domain.num_keys = num_keys;
   cfg.barrier_mode = barrier_mode;
-  Job job(cluster, cfg);
-  job.set_mapper_factory(
+  FramePlan plan(cluster, cfg);
+  plan.set_mapper_factory(
       [num_keys](int, gpusim::Device&) { return std::make_unique<ModuloMapper>(num_keys); });
   RunResult result;
-  job.set_reducer_factory(
+  plan.set_reducer_factory(
       [&result](int) { return std::make_unique<SumReducer>(&result.sums); });
   if (with_combiner) {
-    job.set_combiner_factory([make](int) {
+    plan.set_combiner_factory([make](int) {
       return make ? make() : std::unique_ptr<Combiner>(std::make_unique<SumCombiner>());
     });
   }
   for (int c = 0; c < 8; ++c)
-    job.add_chunk(std::make_unique<RangeChunk>(c * 1000, (c + 1) * 1000));
-  result.stats = job.run();
+    plan.add_chunk(std::make_unique<RangeChunk>(c * 1000, (c + 1) * 1000));
+  result.stats = plan.run_to_completion();
   return result;
 }
 
@@ -183,15 +183,15 @@ TEST(Combiner, WorksWithTinySendBuffers) {
   cfg.value_size = sizeof(std::uint64_t);
   cfg.domain.num_keys = 16;
   cfg.send_buffer_bytes = 64;  // flush almost every chunk
-  Job job(cluster, cfg);
-  job.set_mapper_factory(
+  FramePlan plan(cluster, cfg);
+  plan.set_mapper_factory(
       [](int, gpusim::Device&) { return std::make_unique<ModuloMapper>(16); });
   std::map<std::uint32_t, std::uint64_t> sums;
-  job.set_reducer_factory([&](int) { return std::make_unique<SumReducer>(&sums); });
-  job.set_combiner_factory([](int) { return std::make_unique<SumCombiner>(); });
+  plan.set_reducer_factory([&](int) { return std::make_unique<SumReducer>(&sums); });
+  plan.set_combiner_factory([](int) { return std::make_unique<SumCombiner>(); });
   for (int c = 0; c < 4; ++c)
-    job.add_chunk(std::make_unique<RangeChunk>(c * 500, (c + 1) * 500));
-  (void)job.run();
+    plan.add_chunk(std::make_unique<RangeChunk>(c * 500, (c + 1) * 500));
+  (void)plan.run_to_completion();
 
   std::map<std::uint32_t, std::uint64_t> expected;
   for (std::uint32_t i = 0; i < 2000; ++i) expected[i % 16] += i;

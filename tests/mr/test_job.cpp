@@ -11,7 +11,7 @@
 
 #include "cluster/cluster.hpp"
 #include "mr/analysis.hpp"
-#include "mr/job.hpp"
+#include "mr/frame_plan.hpp"
 #include "sim/engine.hpp"
 
 namespace vrmr::mr {
@@ -94,9 +94,9 @@ struct Harness {
     return cfg;
   }
 
-  std::unique_ptr<Job> make_job(const JobConfig& cfg, std::uint32_t num_keys,
-                                int placeholders = 0) {
-    auto job = std::make_unique<Job>(*cluster, cfg);
+  std::unique_ptr<FramePlan> make_job(const JobConfig& cfg, std::uint32_t num_keys,
+                                      int placeholders = 0) {
+    auto job = std::make_unique<FramePlan>(*cluster, cfg);
     job->set_mapper_factory([num_keys, placeholders](int, gpusim::Device&) {
       return std::make_unique<ModuloMapper>(num_keys, placeholders);
     });
@@ -110,12 +110,11 @@ TEST(Job, ComputesCorrectSumsAcrossGpus) {
   constexpr std::uint32_t kKeys = 13;
   constexpr std::uint32_t kN = 10000;
   Harness h(4);
-  auto job_owner = h.make_job(h.config(kKeys), kKeys);
-  Job& job = *job_owner;
+  auto job = h.make_job(h.config(kKeys), kKeys);
   for (std::uint32_t lo = 0; lo < kN; lo += 1000) {
-    job.add_chunk(std::make_unique<RangeChunk>(lo, std::min(lo + 1000, kN)));
+    job->add_chunk(std::make_unique<RangeChunk>(lo, std::min(lo + 1000, kN)));
   }
-  const JobStats stats = job.run();
+  const JobStats stats = job->run_to_completion();
 
   // Every key's expected sum: sum of all i in [0, kN) with i % kKeys == key.
   std::map<std::uint32_t, std::uint64_t> expected;
@@ -129,10 +128,9 @@ TEST(Job, ComputesCorrectSumsAcrossGpus) {
 TEST(Job, PlaceholdersAreChargedThenDropped) {
   constexpr std::uint32_t kKeys = 5;
   Harness h(2);
-  auto job_owner = h.make_job(h.config(kKeys), kKeys, /*placeholders=*/50);
-  Job& job = *job_owner;
-  job.add_chunk(std::make_unique<RangeChunk>(0, 100));
-  const JobStats stats = job.run();
+  auto job = h.make_job(h.config(kKeys), kKeys, /*placeholders=*/50);
+  job->add_chunk(std::make_unique<RangeChunk>(0, 100));
+  const JobStats stats = job->run_to_completion();
   EXPECT_EQ(stats.fragments, 100u);
   EXPECT_EQ(stats.placeholders, 50u);
   // Placeholders crossed the PCIe bus: D2H bytes cover all 150 pairs.
@@ -144,11 +142,10 @@ TEST(Job, PlaceholdersAreChargedThenDropped) {
 TEST(Job, StageBreakdownSumsToRuntime) {
   Harness h(4);
   constexpr std::uint32_t kKeys = 64;
-  auto job_owner = h.make_job(h.config(kKeys), kKeys);
-  Job& job = *job_owner;
+  auto job = h.make_job(h.config(kKeys), kKeys);
   for (int c = 0; c < 8; ++c)
-    job.add_chunk(std::make_unique<RangeChunk>(c * 500, (c + 1) * 500));
-  const JobStats stats = job.run();
+    job->add_chunk(std::make_unique<RangeChunk>(c * 500, (c + 1) * 500));
+  const JobStats stats = job->run_to_completion();
   EXPECT_GT(stats.runtime_s, 0.0);
   EXPECT_NEAR(stats.stage.map_s + stats.stage.partition_io_s + stats.stage.sort_s +
                   stats.stage.reduce_s,
@@ -173,24 +170,23 @@ TEST(Job, EveryThreadEmitsViolationDetected) {
   };
   Harness h(1);
   JobConfig cfg = h.config(4);
-  Job job(*h.cluster, cfg);
-  job.set_mapper_factory(
+  auto job = std::make_unique<FramePlan>(*h.cluster, cfg);
+  job->set_mapper_factory(
       [](int, gpusim::Device&) { return std::make_unique<LyingMapper>(); });
-  job.set_reducer_factory([&](int) { return std::make_unique<SumReducer>(&h.sums); });
-  job.add_chunk(std::make_unique<RangeChunk>(0, 1));
-  EXPECT_THROW((void)job.run(), vrmr::CheckError);
+  job->set_reducer_factory([&](int) { return std::make_unique<SumReducer>(&h.sums); });
+  job->add_chunk(std::make_unique<RangeChunk>(0, 1));
+  EXPECT_THROW((void)job->run_to_completion(), vrmr::CheckError);
 }
 
 TEST(Job, RejectsChunksLargerThanVram) {
   Harness h(1);
   JobConfig cfg = h.config(4);
-  auto job_owner = h.make_job(cfg, 4);
-  Job& job = *job_owner;
+  auto job = h.make_job(cfg, 4);
   const std::uint64_t vram = h.cluster->config().hw.gpu.vram_bytes;
-  EXPECT_THROW(job.add_chunk(std::make_unique<RangeChunk>(0, 10, vram + 1)),
+  EXPECT_THROW(job->add_chunk(std::make_unique<RangeChunk>(0, 10, vram + 1)),
                vrmr::CheckError);
   // Exactly VRAM-sized is allowed (the restriction is "must fit").
-  job.add_chunk(std::make_unique<RangeChunk>(0, 10, vram));
+  job->add_chunk(std::make_unique<RangeChunk>(0, 10, vram));
 }
 
 TEST(Job, OutOfCoreModeChargesDisk) {
@@ -199,11 +195,10 @@ TEST(Job, OutOfCoreModeChargesDisk) {
     Harness h(2);
     JobConfig cfg = h.config(kKeys);
     cfg.include_disk_io = disk;
-    auto job_owner = h.make_job(cfg, kKeys);
-  Job& job = *job_owner;
+    auto job = h.make_job(cfg, kKeys);
     for (int c = 0; c < 4; ++c)
-      job.add_chunk(std::make_unique<RangeChunk>(c * 100, (c + 1) * 100, 1 << 20));
-    return job.run();
+      job->add_chunk(std::make_unique<RangeChunk>(c * 100, (c + 1) * 100, 1 << 20));
+    return job->run_to_completion();
   };
   const JobStats without = run(false);
   const JobStats with = run(true);
@@ -221,10 +216,9 @@ TEST(Job, GpuSortPlacementHonored) {
     Harness h(2);
     JobConfig cfg = h.config(kKeys);
     cfg.sort = placement;
-    auto job_owner = h.make_job(cfg, kKeys);
-  Job& job = *job_owner;
-    job.add_chunk(std::make_unique<RangeChunk>(0, 5000));
-    return job.run();
+    auto job = h.make_job(cfg, kKeys);
+    job->add_chunk(std::make_unique<RangeChunk>(0, 5000));
+    return job->run_to_completion();
   };
   const JobStats cpu = run(SortPlacement::Cpu);
   for (const auto& r : cpu.per_reducer) EXPECT_FALSE(r.sorted_on_gpu);
@@ -240,22 +234,20 @@ TEST(Job, AutoSortUsesGpuAboveThreshold) {
   JobConfig cfg = h.config(kKeys);
   cfg.sort = SortPlacement::Auto;
   cfg.gpu_sort_threshold_pairs = 100;  // tiny threshold
-  auto job_owner = h.make_job(cfg, kKeys);
-  Job& job = *job_owner;
-  job.add_chunk(std::make_unique<RangeChunk>(0, 1000));
-  const JobStats stats = job.run();
+  auto job = h.make_job(cfg, kKeys);
+  job->add_chunk(std::make_unique<RangeChunk>(0, 1000));
+  const JobStats stats = job->run_to_completion();
   EXPECT_TRUE(stats.per_reducer[0].sorted_on_gpu);
 }
 
 TEST(Job, ChunksCanBePinnedToGpus) {
   constexpr std::uint32_t kKeys = 4;
   Harness h(4);
-  auto job_owner = h.make_job(h.config(kKeys), kKeys);
-  Job& job = *job_owner;
+  auto job = h.make_job(h.config(kKeys), kKeys);
   // Pin everything to GPU 2.
   for (int c = 0; c < 4; ++c)
-    job.add_chunk(std::make_unique<RangeChunk>(c * 10, (c + 1) * 10), /*gpu=*/2);
-  const JobStats stats = job.run();
+    job->add_chunk(std::make_unique<RangeChunk>(c * 10, (c + 1) * 10), /*gpu=*/2);
+  const JobStats stats = job->run_to_completion();
   EXPECT_EQ(stats.per_gpu[2].chunks, 4);
   EXPECT_EQ(stats.per_gpu[0].chunks, 0);
   EXPECT_EQ(stats.per_gpu[1].chunks, 0);
@@ -266,11 +258,10 @@ TEST(Job, MoreGpusReduceMapStageTime) {
   constexpr std::uint32_t kKeys = 32;
   auto map_time = [&](int gpus) {
     Harness h(gpus);
-    auto job_owner = h.make_job(h.config(kKeys), kKeys);
-  Job& job = *job_owner;
+    auto job = h.make_job(h.config(kKeys), kKeys);
     for (int c = 0; c < 16; ++c)
-      job.add_chunk(std::make_unique<RangeChunk>(c * 10000, (c + 1) * 10000, 4 << 20));
-    return job.run().stage.map_s;
+      job->add_chunk(std::make_unique<RangeChunk>(c * 10000, (c + 1) * 10000, 4 << 20));
+    return job->run_to_completion().stage.map_s;
   };
   const double one = map_time(1);
   const double four = map_time(4);
@@ -284,51 +275,47 @@ TEST(Job, MoreGpusReduceMapStageTime) {
 TEST(Job, IsSingleUse) {
   constexpr std::uint32_t kKeys = 4;
   Harness h(1);
-  auto job_owner = h.make_job(h.config(kKeys), kKeys);
-  Job& job = *job_owner;
-  job.add_chunk(std::make_unique<RangeChunk>(0, 10));
-  (void)job.run();
-  EXPECT_THROW((void)job.run(), vrmr::CheckError);
-  EXPECT_THROW(job.add_chunk(std::make_unique<RangeChunk>(0, 1)), vrmr::CheckError);
+  auto job = h.make_job(h.config(kKeys), kKeys);
+  job->add_chunk(std::make_unique<RangeChunk>(0, 10));
+  (void)job->run_to_completion();
+  EXPECT_THROW((void)job->run_to_completion(), vrmr::CheckError);
+  EXPECT_THROW(job->add_chunk(std::make_unique<RangeChunk>(0, 1)), vrmr::CheckError);
 }
 
 TEST(Job, RequiresFactoriesAndChunks) {
   Harness h(1);
   {
-    Job job(*h.cluster, h.config(4));
-    EXPECT_THROW((void)job.run(), vrmr::CheckError);  // no factories
+    auto job = std::make_unique<FramePlan>(*h.cluster, h.config(4));
+    EXPECT_THROW((void)job->run_to_completion(), vrmr::CheckError);  // no factories
   }
   {
-    auto job_owner = h.make_job(h.config(4), 4);
-  Job& job = *job_owner;
-    EXPECT_THROW((void)job.run(), vrmr::CheckError);  // no chunks
+    auto job = h.make_job(h.config(4), 4);
+    EXPECT_THROW((void)job->run_to_completion(), vrmr::CheckError);  // no chunks
   }
 }
 
 TEST(Job, ConfigValidation) {
   Harness h(1);
   JobConfig bad;
-  EXPECT_THROW(Job(*h.cluster, bad), vrmr::CheckError);  // value_size unset
+  EXPECT_THROW(FramePlan(*h.cluster, bad), vrmr::CheckError);  // value_size unset
   bad.value_size = 4;
-  EXPECT_THROW(Job(*h.cluster, bad), vrmr::CheckError);  // num_keys unset
+  EXPECT_THROW(FramePlan(*h.cluster, bad), vrmr::CheckError);  // num_keys unset
   bad.domain.num_keys = 16;
   bad.partition = PartitionStrategy::Tiled;
-  EXPECT_THROW(Job(*h.cluster, bad), vrmr::CheckError);  // tiled needs width
+  EXPECT_THROW(FramePlan(*h.cluster, bad), vrmr::CheckError);  // tiled needs width
 }
 
 TEST(Job, SequentialJobsOnOneClusterAccumulateIndependently) {
   constexpr std::uint32_t kKeys = 8;
   Harness h(2);
   JobConfig cfg = h.config(kKeys);
-  auto first_owner = h.make_job(cfg, kKeys);
-  Job& first = *first_owner;
-  first.add_chunk(std::make_unique<RangeChunk>(0, 500));
-  const JobStats s1 = first.run();
+  auto first = h.make_job(cfg, kKeys);
+  first->add_chunk(std::make_unique<RangeChunk>(0, 500));
+  const JobStats s1 = first->run_to_completion();
 
-  auto second_owner = h.make_job(cfg, kKeys);
-  Job& second = *second_owner;
-  second.add_chunk(std::make_unique<RangeChunk>(0, 500));
-  const JobStats s2 = second.run();
+  auto second = h.make_job(cfg, kKeys);
+  second->add_chunk(std::make_unique<RangeChunk>(0, 500));
+  const JobStats s2 = second->run_to_completion();
 
   // Same workload => same per-job deltas even though the simulated
   // clock keeps advancing (multi-frame rendering relies on this).
@@ -348,11 +335,10 @@ TEST(Job, BufferedSendsCoalesceSmallChunks) {
     Harness h(8);  // 2 nodes, so inter-node messages pay real overhead
     JobConfig cfg = h.config(kKeys);
     cfg.send_buffer_bytes = buffer_bytes;
-    auto job_owner = h.make_job(cfg, kKeys);
-    Job& job = *job_owner;
+    auto job = h.make_job(cfg, kKeys);
     for (int c = 0; c < 16; ++c)
-      job.add_chunk(std::make_unique<RangeChunk>(c * 100, (c + 1) * 100));
-    const JobStats stats = job.run();
+      job->add_chunk(std::make_unique<RangeChunk>(c * 100, (c + 1) * 100));
+    const JobStats stats = job->run_to_completion();
     return std::make_pair(stats, h.sums);
   };
   const auto [coalesced, sums_a] = run(64 << 20);
@@ -377,11 +363,10 @@ TEST(Job, BufferedFlushHappensMidStream) {
   // Each chunk emits 400 pairs -> 100 pairs x 8 B... buffer of ~2
   // chunks' worth per reducer (single reducer gets everything).
   cfg.send_buffer_bytes = 2 * 400 * (4 + 4);
-  auto job_owner = h.make_job(cfg, kKeys);
-  Job& job = *job_owner;
+  auto job = h.make_job(cfg, kKeys);
   for (int c = 0; c < 10; ++c)
-    job.add_chunk(std::make_unique<RangeChunk>(c * 400, (c + 1) * 400));
-  const JobStats stats = job.run();
+    job->add_chunk(std::make_unique<RangeChunk>(c * 400, (c + 1) * 400));
+  const JobStats stats = job->run_to_completion();
   // 10 chunks x 400 pairs / (2 x 400 pairs per flush) => ~5 messages,
   // more than the single final flush but far fewer than one per chunk.
   EXPECT_GE(stats.net_messages, 4u);
@@ -392,11 +377,10 @@ TEST(Job, BufferedFlushHappensMidStream) {
 TEST(SpeedOfLight, BoundsAreConsistent) {
   constexpr std::uint32_t kKeys = 32;
   Harness h(4);
-  auto job_owner = h.make_job(h.config(kKeys), kKeys);
-  Job& job = *job_owner;
+  auto job = h.make_job(h.config(kKeys), kKeys);
   for (int c = 0; c < 8; ++c)
-    job.add_chunk(std::make_unique<RangeChunk>(c * 1000, (c + 1) * 1000, 1 << 20));
-  const JobStats stats = job.run();
+    job->add_chunk(std::make_unique<RangeChunk>(c * 1000, (c + 1) * 1000, 1 << 20));
+  const JobStats stats = job->run_to_completion();
   const SpeedOfLight sol = speed_of_light(stats, h.cluster->config());
   EXPECT_GT(sol.map_compute_s, 0.0);
   EXPECT_GE(sol.serial_bound_s, sol.pipelined_bound_s);

@@ -14,6 +14,7 @@
 
 #include "cluster/cluster.hpp"
 #include "mr/frame_plan.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "volren/datasets.hpp"
 #include "volren/image.hpp"
@@ -53,6 +54,9 @@ struct ModeRun {
   std::vector<double> tile_finish_s;   // per reducer, absolute
   std::vector<double> ready_s;         // per reducer, absolute
   std::vector<int> ready_order;        // reducer indices, firing order
+  std::vector<double> sort_issue_s;    // per reducer, absolute
+  std::vector<double> sort_done_s;     // per reducer, absolute
+  std::vector<double> reduce_begin_s;  // per reducer, from the trace
   double first_tile_s = 0.0;
 };
 
@@ -63,6 +67,8 @@ ModeRun run_scene(const Scene& scene, mr::BarrierMode mode) {
                            cluster::ClusterConfig::with_total_gpus(scene.gpus));
   RenderOptions options = options_for(scene);
   options.barrier_mode = mode;
+  obs::TraceRecorder recorder;
+  options.trace.recorder = &recorder;
   const BrickLayout layout = choose_layout(volume, options, scene.gpus);
   auto frame = plan_frame(cluster, volume, options, mr::StagingHook{}, layout);
 
@@ -72,10 +78,18 @@ ModeRun run_scene(const Scene& scene, mr::BarrierMode mode) {
   frame->plan().run_to_completion();
 
   run.first_tile_s = std::numeric_limits<double>::infinity();
+  run.reduce_begin_s.assign(static_cast<std::size_t>(frame->num_tiles()), -1.0);
   for (int r = 0; r < frame->num_tiles(); ++r) {
     run.tile_finish_s.push_back(frame->plan().tile_finish_s(r));
     run.ready_s.push_back(frame->plan().reducer_ready_s(r));
+    run.sort_issue_s.push_back(frame->plan().sort_issue_s(r));
+    run.sort_done_s.push_back(frame->plan().sort_done_s(r));
     run.first_tile_s = std::min(run.first_tile_s, frame->plan().tile_finish_s(r));
+  }
+  for (const obs::TraceEvent& ev : recorder.events()) {
+    if (ev.ph != 'B' || ev.name != "reduce") continue;
+    const int r = ev.tid - options.trace.reducer_tid_base;
+    run.reduce_begin_s.at(static_cast<std::size_t>(r)) = ev.ts_s;
   }
   run.result = frame->finish();
   return run;
@@ -162,6 +176,26 @@ TEST(BarrierModes, ReadinessFiresOncePerReducerInInboxCompletionOrder) {
     // A reducer's sort cannot have started before its inbox completed:
     // its tile strictly follows its readiness.
     EXPECT_GE(chained.tile_finish_s[r], chained.ready_s[r]);
+    // Sort and reduce quanta issue themselves: the sort at the reducer's
+    // own readiness, the reduce at its own sort's completion — never at
+    // the other reducers' barriers.
+    EXPECT_EQ(chained.sort_issue_s[r], chained.ready_s[r]) << "reducer " << r;
+    EXPECT_EQ(chained.reduce_begin_s[r], chained.sort_done_s[r]) << "reducer " << r;
+  }
+  // Per-reducer chaining is visible: some tile is composited before
+  // the last sort completes.
+  EXPECT_LT(chained.first_tile_s,
+            *std::max_element(chained.sort_done_s.begin(), chained.sort_done_s.end()));
+  // The self-issued chains produce the reference pixels.
+  {
+    const Volume volume = datasets::by_name(scene.dataset, scene.dims);
+    sim::Engine engine;
+    cluster::Cluster cluster(engine,
+                             cluster::ClusterConfig::with_total_gpus(scene.gpus));
+    RenderOptions reference = options_for(scene);
+    reference.barrier_mode = mr::BarrierMode::Global;
+    const RenderResult expected = render_mapreduce(cluster, volume, reference);
+    EXPECT_EQ(compare_images(chained.result.image, expected.image).max_abs, 0.0);
   }
   // The dissolved barrier is visible: at least one reducer became
   // ready strictly before the last one (under Global they all fire at
@@ -219,64 +253,6 @@ TEST(BarrierModes, ZeroFragmentFrameCascadesSafelyInBothModes) {
     const RenderResult result = frame->finish();
     EXPECT_EQ(result.stats.fragments, 0u);
   }
-}
-
-TEST(BarrierModes, ManualDriverChainsSortIntoReducePerReducer) {
-  // Drive a PerReducer plan by hand (no eager barriers, no greedy
-  // driver): readiness gates the sort, the sort's completion gates
-  // that reducer's reduce — and nothing waits for the other reducers.
-  const Volume volume = datasets::supernova({32, 32, 32});
-  sim::Engine engine;
-  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(4));
-  RenderOptions options;
-  options.image_width = 48;
-  options.image_height = 48;
-  options.partition = mr::PartitionStrategy::Striped;
-  options.target_bricks = 8;
-  options.barrier_mode = mr::BarrierMode::PerReducer;
-  const BrickLayout layout = choose_layout(volume, options, 4);
-  auto frame = plan_frame(cluster, volume, options, mr::StagingHook{}, layout);
-  auto& plan = frame->plan();
-
-  int sorts_issued = 0, reduces_issued = 0;
-  plan.on_lane_free([&](int gpu) {
-    if (!plan.lane_busy(gpu) && plan.pending_map_quanta(gpu) > 0) {
-      plan.issue_map_quantum(gpu);
-    }
-  });
-  plan.on_reducer_ready([&](int r) {
-    EXPECT_TRUE(plan.sort_pending(r));
-    EXPECT_FALSE(plan.reduce_pending(r)) << "reduce issuable before its sort";
-    plan.issue_sort_quantum(r);
-    ++sorts_issued;
-  });
-  plan.on_sort_done([&](int r) {
-    // Per-reducer chaining: THIS reducer's reduce is issuable right
-    // now, whatever the other sorts are doing.
-    ASSERT_TRUE(plan.reduce_pending(r));
-    plan.issue_reduce_quantum(r);
-    ++reduces_issued;
-  });
-  plan.start();
-  for (int g = 0; g < 4; ++g) {
-    if (plan.pending_map_quanta(g) > 0) plan.issue_map_quantum(g);
-  }
-  engine.run();
-
-  ASSERT_TRUE(plan.finished());
-  EXPECT_EQ(sorts_issued, 4);
-  EXPECT_EQ(reduces_issued, 4);
-
-  // The manually chained schedule produces the reference pixels.
-  RenderOptions reference = options;
-  reference.barrier_mode = mr::BarrierMode::Global;
-  sim::Engine ref_engine;
-  cluster::Cluster ref_cluster(ref_engine,
-                               cluster::ClusterConfig::with_total_gpus(4));
-  const RenderResult expected =
-      render_mapreduce(ref_cluster, volume, reference);
-  const ImageDiff diff = compare_images(frame->finish().image, expected.image);
-  EXPECT_EQ(diff.max_abs, 0.0);
 }
 
 }  // namespace

@@ -205,19 +205,19 @@ TEST(RendererProperty, SendBufferSizeNeverChangesPixels) {
     config.domain.num_keys = 64 * 64;
     config.domain.image_width = 64;
     config.send_buffer_bytes = bytes;
-    mr::Job job(cluster, config);
-    job.set_mapper_factory([&](int, gpusim::Device&) {
+    mr::FramePlan plan(cluster, config);
+    plan.set_mapper_factory([&](int, gpusim::Device&) {
       return std::make_unique<RayCastMapper>(volume, frame);
     });
     std::vector<std::vector<FinishedPixel>> pieces(4);
-    job.set_reducer_factory([&](int r) {
+    plan.set_reducer_factory([&](int r) {
       return std::make_unique<CompositeReducer>(opt.cast.ert_threshold, opt.background,
                                                 &pieces[static_cast<size_t>(r)]);
     });
     const BrickLayout layout(volume.dims(), volume.world_extent(), 16, 1);
     for (const BrickInfo& info : layout.bricks())
-      job.add_chunk(std::make_unique<BrickChunk>(volume, info));
-    (void)job.run();
+      plan.add_chunk(std::make_unique<BrickChunk>(volume, info));
+    (void)plan.run_to_completion();
     return stitch_image(64, 64, opt.background, pieces);
   };
   const Image tiny = render_with_buffer(1);
